@@ -32,20 +32,42 @@ def dirichlet_energy(u: Field) -> dict:
     return {"E_half": 0.5 * raw, "E_raw": raw}
 
 
+def _flat_gradient(u: Field) -> np.ndarray:
+    """Per-triangle gradient of u as an (nt, 2 * value_dim) array."""
+    return gradient(u).values.reshape(u.mesh.n_triangles, -1)
+
+
+def _energy_difference(areas, g1, g2) -> float:
+    """sum a (g1 - g2).(g1 + g2) over triangles, for flat gradients. The
+    per-triangle product form avoids the cancellation of E(g1) - E(g2)."""
+    return float((areas * ((g1 - g2) * (g1 + g2)).sum(axis=1)).sum())
+
+
+def _gradient_gap(areas, g1, g2) -> float:
+    """sum a |g1 - g2|^2 over triangles, for flat gradients."""
+    return float((areas * ((g1 - g2) ** 2).sum(axis=1)).sum())
+
+
+def _snapshot_gradients(traj, snaps) -> np.ndarray:
+    """Flat gradients of the given snapshots in one (S, nt, 2n) block. A
+    certificate call holds it only while it runs (S nt 2n doubles) and
+    frees it in one piece; nothing caches it on the trajectory."""
+    grads = np.empty((len(snaps), traj.mesh.n_triangles, 2 * traj.manifold.n))
+    for g, s in zip(grads, snaps):
+        g[...] = _flat_gradient(s.u)
+    return grads
+
+
 def energy_difference_raw(u1: Field, u2: Field) -> float:
     """E_raw(u1) - E_raw(u2) computed per triangle to avoid cancellation."""
-    g1 = gradient(u1).values
-    g2 = gradient(u2).values
-    nt = u1.mesh.n_triangles
-    prod = ((g1 - g2) * (g1 + g2)).reshape(nt, -1).sum(axis=1)
-    return float((u1.mesh.tri_areas * prod).sum())
+    return _energy_difference(u1.mesh.tri_areas, _flat_gradient(u1),
+                              _flat_gradient(u2))
 
 
 def gradient_gap_raw(u1: Field, u2: Field) -> float:
     """int |grad u1 - grad u2|^2."""
-    d = (gradient(u1).values - gradient(u2).values)
-    dens = (d ** 2).reshape(u1.mesh.n_triangles, -1).sum(axis=1)
-    return float((u1.mesh.tri_areas * dens).sum())
+    return _gradient_gap(u1.mesh.tri_areas, _flat_gradient(u1),
+                         _flat_gradient(u2))
 
 
 def _derived(u: Field, m: TargetManifold):
@@ -62,16 +84,6 @@ def _derived(u: Field, m: TargetManifold):
     tang = m._tangent_project_unchecked(u.values, lap + G)
     tang[mesh.boundary_idx] = 0.0
     return {"energy_raw": e_raw, "curvature": G, "tension": Field(mesh, tang)}
-
-
-def curvature_term(u: Field, m: TargetManifold) -> Field:
-    """Vertex field of the flow nonlinearity, mass-lumped from triangles."""
-    mesh = u.mesh
-    g = gradient(u).values
-    centers = m.project(u.values[mesh.triangles].mean(axis=1))
-    per_tri = m.curvature_flow_term(centers, g)  # (nt, n)
-    vals = cell_load(mesh, per_tri)
-    return Field(mesh, vals / mesh.lumped_mass[:, None])
 
 
 def tension(u: Field, m: TargetManifold) -> Field:
@@ -316,16 +328,29 @@ def convexity_report(traj: FlowTrajectory, pairs, slack: float = 0.05,
     error otherwise, unless enforce_t0=False for exploratory probes).
     """
     t0 = traj.detected_t0()
-    rows = []
-    threshold = coefficient - slack
+    snaps, index = [], {}  # the pairs' distinct snapshots, in first-use order
+
+    def row(t):
+        s = traj.snapshot_at(t)
+        if id(s) not in index:
+            index[id(s)] = len(snaps)
+            snaps.append(s)
+        return index[id(s)]
+
+    checked = []
     for (t1, t2) in pairs:
         if t2 <= t1:
             raise UsageError("convexity pairs need t2 > t1")
         if enforce_t0 and (t0 is None or t1 < t0 - 1e-12):
             raise UsageError("convexity pairs must satisfy t1 >= detected T0")
-        s1, s2 = traj.snapshot_at(t1), traj.snapshot_at(t2)
-        diff = energy_difference_raw(s1.u, s2.u)
-        denom = gradient_gap_raw(s1.u, s2.u)
+        checked.append((t1, t2, row(t1), row(t2)))
+    grads = _snapshot_gradients(traj, snaps)
+    areas = traj.mesh.tri_areas
+    rows = []
+    threshold = coefficient - slack
+    for (t1, t2, i, j) in checked:
+        diff = _energy_difference(areas, grads[i], grads[j])
+        denom = _gradient_gap(areas, grads[i], grads[j])
         if denom <= 1e-14:
             rows.append({"t1": t1, "t2": t2, "difference": diff,
                          "denominator": denom, "ratio": None,
@@ -383,9 +408,10 @@ def cross_term_check(traj: FlowTrajectory, t1: float, t2: float,
     mesh = traj.mesh
     diff = s1.u.values - s2.u.values
     diff_c = diff[mesh.triangles].mean(axis=1)
-    dens2 = (gradient(s2.u).values ** 2).reshape(mesh.n_triangles, -1).sum(axis=1)
+    g2 = _flat_gradient(s2.u)
+    dens2 = (g2 ** 2).sum(axis=1)
     lhs = float((mesh.tri_areas * (diff_c ** 2).sum(axis=1) * dens2).sum())
-    rhs = gradient_gap_raw(s1.u, s2.u)
+    rhs = _gradient_gap(mesh.tri_areas, _flat_gradient(s1.u), g2)
     if rhs <= 1e-14:
         return {"lhs": lhs, "rhs": rhs, "C": None, "degenerate": True}
     return {"lhs": lhs, "rhs": rhs, "C": lhs / (eps0 * rhs), "degenerate": False}
@@ -397,13 +423,15 @@ def cauchy_certificate(traj: FlowTrajectory, slack_factor: float = 0.05) -> dict
     the sup does not exceed slack_factor times the largest denominator."""
     t0 = traj.detected_t0()
     snaps = [s for s in traj.snapshots if t0 is not None and s.t >= t0 - 1e-12]
+    grads = _snapshot_gradients(traj, snaps)
+    areas = traj.mesh.tri_areas
     value = -np.inf
     max_denom = 0.0
     count = 0
-    for i in range(len(snaps)):
-        for j in range(i + 1, len(snaps)):
-            denom = gradient_gap_raw(snaps[i].u, snaps[j].u)
-            diff = energy_difference_raw(snaps[i].u, snaps[j].u)
+    for i in range(len(grads)):
+        for j in range(i + 1, len(grads)):
+            denom = _gradient_gap(areas, grads[i], grads[j])
+            diff = _energy_difference(areas, grads[i], grads[j])
             value = max(value, denom - 4.0 * diff)
             max_denom = max(max_denom, denom)
             count += 1

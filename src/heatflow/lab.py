@@ -115,9 +115,12 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if unknown:
         raise ConfigurationError(f"unknown check {unknown[0]!r}")
 
-    seed = raw.get("seed", 20260809)
+    seed = _int_key(raw, "seed", 20260809, 0)
     env_seed = os.environ.get("HEATFLOW_SEED")
     if env_seed is not None:
+        if not env_seed.strip().isdecimal():
+            raise ConfigurationError(
+                f"HEATFLOW_SEED must be a non-negative integer, got {env_seed!r}")
         seed = int(env_seed)
 
     return ScenarioConfig(
@@ -129,10 +132,19 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
         eps0=eps0,
         timestep=dict(timestep),
         checks=checks,
-        seed=int(seed),
-        snapshots=int(raw.get("snapshots", 64)),
-        pair_samples=int(raw.get("pair_samples", 50)),
+        seed=seed,
+        snapshots=_int_key(raw, "snapshots", 64, 2),
+        pair_samples=_int_key(raw, "pair_samples", 50, 0),
     )
+
+
+def _int_key(raw: dict, key: str, default: int, minimum: int) -> int:
+    """The integer config value raw[key] (or default), at least minimum."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigurationError(
+            f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def load_config(path) -> ScenarioConfig:
@@ -215,6 +227,9 @@ def build_boundary_data(cfg: ScenarioConfig, mesh, m):
 # -- per-check execution ----------------------------------------------------------
 
 
+_NO_PAIRS = "no snapshot pair at or after T0 to evaluate"
+
+
 def _sample_pairs(rng, times, count):
     """Deterministic sample of index pairs (i < j) from the given times."""
     n = len(times)
@@ -234,6 +249,8 @@ def _check_convexity(traj, cfg, rng):
     st = traj.snapshot_times
     post = st[st >= t0 - 1e-12]
     pairs = _sample_pairs(rng, post, cfg.pair_samples)
+    if not pairs:
+        return {"verdict": "skipped", "reason": _NO_PAIRS}
     rep = flow_mod.convexity_report(traj, pairs, slack=CONVEXITY_SLACK)
     out = {
         "verdict": "pass" if not rep.failures else "fail",
@@ -286,6 +303,8 @@ def _check_cross_term(traj, cfg, rng):
     st = traj.snapshot_times
     post = st[st >= t0 - 1e-12]
     pairs = _sample_pairs(rng, post, min(cfg.pair_samples, 25))
+    if not pairs:
+        return {"verdict": "skipped", "reason": _NO_PAIRS}
     cs = []
     degenerate = 0
     for (t1, t2) in pairs:
@@ -302,6 +321,9 @@ def _check_cross_term(traj, cfg, rng):
 
 def _check_cauchy(traj, cfg, rng):
     res = flow_mod.cauchy_certificate(traj)
+    if res["pairs"] == 0:
+        reason = "T0 undetected" if traj.detected_t0() is None else _NO_PAIRS
+        return {"verdict": "skipped", "reason": reason}
     return {"verdict": "pass" if res["passes"] else "fail", **res}
 
 

@@ -4,11 +4,12 @@ import pytest
 from heatflow.errors import UsageError
 from heatflow.flow import (cauchy_certificate, convexity_report,
                            cross_term_check, decay_identity_residual,
-                           dirichlet_energy, initial_state,
+                           dirichlet_energy, energy_difference_raw,
+                           gradient_gap_raw, initial_state,
                            mean_value_check, run_flow, step, tension,
                            ut_monotonicity_check)
 from heatflow.manifold import CliffordTorus, Sphere
-from heatflow.mesh import Field, interpolate, norms
+from heatflow.mesh import Field, gradient, interpolate, norms
 
 from conftest import cap_boundary, stereographic
 
@@ -279,3 +280,71 @@ def test_clifford_flow_smoke(mesh2):
                     snapshot_times=[0, 1, 2])
     assert np.all(np.diff(traj.energy) <= 1e-10 * traj.energy[0])
     assert m.constraint_violation(traj.snapshots[-1].u.values).max() <= 1e-10
+
+
+def _post_t0_snapshots(traj):
+    t0 = traj.detected_t0()
+    return [s for s in traj.snapshots if s.t >= t0 - 1e-12]
+
+
+def test_certificates_match_pairwise_reference_bit_for_bit(mesh_at):
+    # per-snapshot gradients must not move a single bit against the
+    # pair-by-pair wrappers
+    traj = small_sphere_traj(mesh_at)
+    snaps = _post_t0_snapshots(traj)
+    value, max_denom, count = -np.inf, 0.0, 0
+    for i in range(len(snaps)):
+        for j in range(i + 1, len(snaps)):
+            denom = gradient_gap_raw(snaps[i].u, snaps[j].u)
+            diff = energy_difference_raw(snaps[i].u, snaps[j].u)
+            value = max(value, denom - 4.0 * diff)
+            max_denom = max(max_denom, denom)
+            count += 1
+    res = cauchy_certificate(traj)
+    assert count > 0
+    assert res["value"] == float(value)
+    assert res["max_denominator"] == float(max_denom)
+    assert res["pairs"] == count
+
+    st = traj.snapshot_times
+    pairs = [(st[i], st[j]) for i in range(1, 8) for j in range(i + 1, 12)]
+    for row, (t1, t2) in zip(convexity_report(traj, pairs).pairs, pairs):
+        u1, u2 = traj.snapshot_at(t1).u, traj.snapshot_at(t2).u
+        assert row["difference"] == energy_difference_raw(u1, u2)
+        assert row["denominator"] == gradient_gap_raw(u1, u2)
+
+    s1, s2 = traj.snapshot_at(st[2]), traj.snapshot_at(st[6])
+    mesh = traj.mesh
+    diff_c = (s1.u.values - s2.u.values)[mesh.triangles].mean(axis=1)
+    dens2 = (gradient(s2.u).values ** 2).reshape(mesh.n_triangles, -1).sum(axis=1)
+    lhs = float((mesh.tri_areas * (diff_c ** 2).sum(axis=1) * dens2).sum())
+    res = cross_term_check(traj, st[2], st[6], 0.1)
+    assert res["lhs"] == lhs
+    assert res["rhs"] == gradient_gap_raw(s1.u, s2.u)
+
+
+def test_certificates_compute_each_snapshot_gradient_once(mesh_at, monkeypatch):
+    # per-pair gradients would make O(S^2) calls here
+    import heatflow.flow as flow_mod
+    traj = small_sphere_traj(mesh_at)
+    calls = []
+
+    def counting_gradient(f):
+        calls.append(f)
+        return gradient(f)
+
+    monkeypatch.setattr(flow_mod, "gradient", counting_gradient)
+    res = cauchy_certificate(traj)
+    n_post = len(_post_t0_snapshots(traj))
+    assert n_post >= 3 and res["pairs"] == n_post * (n_post - 1) // 2
+    assert len(calls) == n_post
+
+    calls.clear()
+    st = traj.snapshot_times
+    pairs = [(st[i], st[j]) for i in range(1, 8) for j in range(i + 1, 12)]
+    convexity_report(traj, pairs)
+    assert len(calls) <= len({t for pair in pairs for t in pair})
+
+    calls.clear()
+    cross_term_check(traj, st[2], st[6], 0.1)
+    assert len(calls) == 2

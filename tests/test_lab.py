@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,9 +7,14 @@ import pytest
 
 from heatflow.cli import main as cli_main
 from heatflow.errors import ConfigurationError, UsageError
-from heatflow.lab import (load_config, read_snapshot, run_scenario,
+from heatflow.flow import run_flow
+from heatflow.lab import (_check_cauchy, _check_convexity, _check_cross_term,
+                          load_config, read_snapshot, run_scenario,
                           validate_config, verify_suite, write_snapshot)
+from heatflow.manifold import Sphere
 from heatflow.mesh import Field, build_disk_mesh, load_mesh
+
+from conftest import cap_boundary
 
 
 MINIMAL = {
@@ -78,6 +84,33 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert load_config(p).seed == 1
 
 
+@pytest.mark.parametrize("value", [0, 1, -3, 2.5, "64", True])
+def test_config_rejects_bad_snapshots(value):
+    with pytest.raises(ConfigurationError, match="snapshots"):
+        validate_config(dict(MINIMAL, snapshots=value))
+    assert validate_config(dict(MINIMAL, snapshots=2)).snapshots == 2
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, "50", None])
+def test_config_rejects_bad_pair_samples(value):
+    with pytest.raises(ConfigurationError, match="pair_samples"):
+        validate_config(dict(MINIMAL, pair_samples=value))
+    assert validate_config(dict(MINIMAL, pair_samples=0)).pair_samples == 0
+
+
+@pytest.mark.parametrize("value", [-1, "abc", 1.5])
+def test_config_rejects_bad_seed(value):
+    with pytest.raises(ConfigurationError, match="seed"):
+        validate_config(dict(MINIMAL, seed=value))
+
+
+@pytest.mark.parametrize("value", ["x1", "-1", "1.5", ""])
+def test_config_rejects_bad_env_seed(monkeypatch, value):
+    monkeypatch.setenv("HEATFLOW_SEED", value)
+    with pytest.raises(ConfigurationError, match="HEATFLOW_SEED"):
+        validate_config(dict(MINIMAL))
+
+
 def test_run_scenario_smoke(tmp_path):
     cfg = validate_config(dict(SMALL_FAST))
     report = run_scenario(cfg, out_dir=tmp_path / "out")
@@ -113,6 +146,38 @@ def test_infeasible_cap_radius(tmp_path):
     assert "delta" in report["scenario"]["reason"]
     for res in report["checks"].values():
         assert res["verdict"] == "skipped"
+
+
+def test_no_sampled_pairs_skips_pair_checks():
+    cfg = validate_config(dict(SMALL_FAST, pair_samples=0))
+    report = run_scenario(cfg)
+    for name in ("convexity", "cross_term"):
+        assert report["checks"][name]["verdict"] == "skipped", name
+        assert report["checks"][name]["reason"]
+    assert report["checks"]["cauchy"]["verdict"] == "pass"
+
+
+def test_single_post_t0_snapshot_skips_pair_checks(mesh_at):
+    # eps0 just below the penultimate kinetic norm moves T0 to the last step,
+    # so exactly one snapshot lies at or after T0 and no pair exists
+    mesh = mesh_at(1)
+    m = Sphere(3)
+    traj = run_flow(mesh, m, cap_boundary(mesh, m, 0.12), 2.0,
+                    4 * mesh.h ** 2, 0.1, snapshot_times=np.linspace(0, 2, 9))
+    late = dataclasses.replace(traj, eps0=float(traj.ut_l2_sq[-2]))
+    t0 = late.detected_t0()
+    assert t0 is not None
+    assert int(np.sum(late.snapshot_times >= t0 - 1e-12)) == 1
+    cfg = validate_config(dict(SMALL_FAST))
+    for check in (_check_convexity, _check_cross_term, _check_cauchy):
+        res = check(late, cfg, np.random.default_rng(0))
+        assert res["verdict"] == "skipped", check.__name__
+        assert res["reason"]
+
+    never = dataclasses.replace(traj, eps0=0.0)
+    assert never.detected_t0() is None
+    res = _check_cauchy(never, cfg, np.random.default_rng(0))
+    assert res == {"verdict": "skipped", "reason": "T0 undetected"}
 
 
 def test_fourier_boundary_runs():
