@@ -9,19 +9,16 @@ the scheme follows u_t = Laplace(u) + G(u).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .elliptic import cell_load, solve_dirichlet_lifted
+from .elliptic import _step_factor, cell_load, solve_dirichlet_lifted
 from .errors import StepSizeError, UsageError
 from .manifold import TargetManifold
 from .mesh import DiskMesh, Field, gradient
 
-_step_cache = weakref.WeakKeyDictionary()
+NO_PAIRS = "no snapshot pair at or after T0 to evaluate"
 
 
 def dirichlet_energy(u: Field) -> dict:
@@ -77,7 +74,7 @@ def _derived(u: Field, m: TargetManifold):
     g = gradient(u).values
     e_raw = float((mesh.tri_areas
                    * (g ** 2).reshape(mesh.n_triangles, -1).sum(axis=1)).sum())
-    centers = m.project(u.values[mesh.triangles].mean(axis=1))
+    centers = m.project(mesh.at_centroids(u.values))
     per_tri = m.curvature_flow_term(centers, g)
     G = cell_load(mesh, per_tri) / mesh.lumped_mass[:, None]
     lap = -(mesh.stiffness @ u.values) / mesh.lumped_mass[:, None]
@@ -138,22 +135,6 @@ class FlowTrajectory:
         below = self.ut_l2_sq < self.eps0
         idx = np.flatnonzero(below)
         return float(self.times[idx[0]]) if idx.size else None
-
-
-def _step_factor(mesh: DiskMesh, tau: float):
-    cache = _step_cache.get(mesh)
-    if cache is None:
-        cache = {}
-        _step_cache[mesh] = cache
-    key = float(tau)
-    if key not in cache:
-        idx = mesh.interior_idx
-        m = mesh.lumped_mass
-        A = sp.diags(m) + tau * mesh.stiffness
-        AII = A[np.ix_(idx, idx)].tocsc()
-        AIB = A[np.ix_(idx, mesh.boundary_idx)].tocsr()
-        cache[key] = (spla.splu(AII), AIB)
-    return cache[key]
 
 
 def step(state: FlowState, tau: float, m: TargetManifold,
@@ -407,7 +388,7 @@ def cross_term_check(traj: FlowTrajectory, t1: float, t2: float,
     s1, s2 = traj.snapshot_at(t1), traj.snapshot_at(t2)
     mesh = traj.mesh
     diff = s1.u.values - s2.u.values
-    diff_c = diff[mesh.triangles].mean(axis=1)
+    diff_c = mesh.at_centroids(diff)
     g2 = _flat_gradient(s2.u)
     dens2 = (g2 ** 2).sum(axis=1)
     lhs = float((mesh.tri_areas * (diff_c ** 2).sum(axis=1) * dens2).sum())
@@ -420,7 +401,8 @@ def cross_term_check(traj: FlowTrajectory, t1: float, t2: float,
 def cauchy_certificate(traj: FlowTrajectory, slack_factor: float = 0.05) -> dict:
     """Uniform-Cauchy certificate: sup over stored pairs t2 > t1 >= T0 of
     int|grad u(t1) - grad u(t2)|^2 - 4 (E_raw(t1) - E_raw(t2)); passes when
-    the sup does not exceed slack_factor times the largest denominator."""
+    the sup does not exceed slack_factor times the largest denominator.
+    Without a pair to evaluate, "passes" is None and "reason" says why."""
     t0 = traj.detected_t0()
     snaps = [s for s in traj.snapshots if t0 is not None and s.t >= t0 - 1e-12]
     grads = _snapshot_gradients(traj, snaps)
@@ -436,8 +418,9 @@ def cauchy_certificate(traj: FlowTrajectory, slack_factor: float = 0.05) -> dict
             max_denom = max(max_denom, denom)
             count += 1
     if count == 0:
-        return {"value": 0.0, "threshold": 0.0, "passes": t0 is not None,
-                "pairs": 0, "max_denominator": 0.0}
+        return {"value": 0.0, "threshold": 0.0, "passes": None, "pairs": 0,
+                "max_denominator": 0.0,
+                "reason": "T0 undetected" if t0 is None else NO_PAIRS}
     threshold = slack_factor * max_denom
     return {"value": float(value), "threshold": float(threshold),
             "passes": bool(value <= threshold), "pairs": count,

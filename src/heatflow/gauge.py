@@ -9,31 +9,17 @@ through residuals rather than uniqueness.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .elliptic import (cell_load, curl_load, div_load, hodge_decompose,
-                       poisson_dirichlet, solve_dirichlet_lifted, solve_interior,
-                       solve_neumann_meanzero, _interior_factor)
+from .elliptic import (cell_load, hodge_decompose, poisson_dirichlet,
+                       solve_dirichlet_lifted, solve_interior,
+                       solve_neumann_meanzero, _interior_factor, _sobolev_factor)
 from .errors import DivergenceError, UsageError
 from .manifold import ConnectionForm, TargetManifold
-from .mesh import (CellVectorField, DiskMesh, Field, gradient, norms,
-                   perp_gradient, rotate_cell_field)
-
-_precond_cache = weakref.WeakKeyDictionary()
-
-
-def _sobolev_factor(mesh: DiskMesh):
-    lu = _precond_cache.get(mesh)
-    if lu is None:
-        A = (sp.diags(mesh.lumped_mass) + mesh.stiffness).tocsc()
-        lu = spla.splu(A)
-        _precond_cache[mesh] = lu
-    return lu
+from .mesh import (CellVectorField, DiskMesh, Field, curl_load, div_load,
+                   gradient, norms, perp_gradient, rotate_cell_field)
 
 
 def polar_rotation(mats: np.ndarray) -> np.ndarray:
@@ -88,23 +74,18 @@ def _frame_energy_grad(mesh: DiskMesh, Pv: np.ndarray, omega: np.ndarray,
                        need_grad: bool = True):
     """Energy sum_t A_t sum_a |grad(P)_a + Omega_a Pbar|_F^2 and its Euclidean
     gradient with respect to the vertex matrices."""
-    g = mesh.hat_gradients
-    tris = mesh.triangles
     a = mesh.tri_areas
-    Pt = Pv[tris]                                    # (nt, 3, n, n)
-    Pbar = Pt.mean(axis=1)
-    gradP = np.einsum("tla,tlij->taij", g, Pt)       # (nt, 2, n, n)
+    Pbar = mesh.at_centroids(Pv)                     # (nt, n, n)
+    gradP = gradient(Field(mesh, Pv)).values         # (nt, 2, n, n)
     M = gradP + np.einsum("taiz,tzj->taij", omega, Pbar)
     E = float((a * (M ** 2).sum(axis=(1, 2, 3))).sum())
     if not need_grad:
         return E, None
-    grad = np.zeros_like(Pv)
+    # dE/dP = D^T (2 a M) + C^T (2 a sum_a Omega_a^T M_a)
     aM = 2.0 * a[:, None, None, None] * M
-    omega_term = np.einsum("tazi,tazj->tij", omega, aM) / 3.0
-    for l in range(3):
-        contrib = np.einsum("ta,taij->tij", g[:, l, :], aM) + omega_term
-        np.add.at(grad, tris[:, l], contrib)
-    return E, grad
+    omega_term = np.einsum("tazi,tazj->tij", omega, aM)
+    scatter = mesh.C.T @ omega_term.reshape(mesh.n_triangles, -1)
+    return E, -div_load(mesh, 2.0 * M) + scatter.reshape(Pv.shape)
 
 
 def _tangent_project_rotations(Pv: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -175,8 +156,7 @@ def minimize_gauge(omega: ConnectionForm, max_iterations: int = 5000,
 def _coulomb_form(P: Field, omega: ConnectionForm) -> np.ndarray:
     """W = P^T grad P + P^T Omega P per triangle, shape (nt, 2, n, n)."""
     mesh = P.mesh
-    Pt = P.values[mesh.triangles]
-    Pbar = Pt.mean(axis=1)
+    Pbar = mesh.at_centroids(P.values)
     gradP = gradient(P).values
     W = np.einsum("tki,takj->taij", Pbar, gradP) \
         + np.einsum("tki,takz,tzj->taij", Pbar, omega.values, Pbar)
@@ -228,10 +208,9 @@ def construct_AB(frame: GaugeFrame, omega: ConnectionForm,
     A_vals = Pt_vals.copy()
     B_vals = np.zeros_like(A_vals)
     a = mesh.tri_areas
-    tris = mesh.triangles
 
     def l2(vals):
-        c = vals[tris].mean(axis=1)
+        c = mesh.at_centroids(vals)
         return float(np.sqrt((a * (c ** 2).sum(axis=(1, 2))).sum()))
 
     omega_l2 = omega.l2_norm()
@@ -239,7 +218,7 @@ def construct_AB(frame: GaugeFrame, omega: ConnectionForm,
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        Abar = A_vals[tris].mean(axis=1)
+        Abar = mesh.at_centroids(A_vals)
         F = np.einsum("tim,tamz->taiz", Abar, omega.values)
         # Laplace(B) = -curl(F): K B = +<curl F, phi>
         B_new, _ = solve_interior(mesh, curl_load(mesh, F))
@@ -267,7 +246,7 @@ def construct_AB(frame: GaugeFrame, omega: ConnectionForm,
     B = Field(mesh, B_vals)
     A_hat = Field(mesh, np.einsum("vij,vjk->vik", A_vals, frame.P.values)
                   - np.eye(n)[None])
-    Abar = A_vals[tris].mean(axis=1)
+    Abar = mesh.at_centroids(A_vals)
     resid = gradient(A).values \
         - np.einsum("tim,tamz->taiz", Abar, omega.values) \
         - rotate_cell_field(gradient(B)).values
@@ -289,9 +268,8 @@ def _dual_norm(mesh: DiskMesh, residual_load: np.ndarray) -> float:
 def flux_field(cons: ConservationFrame, u: Field) -> CellVectorField:
     """S = A grad(u) + B perp_grad(u) per triangle."""
     mesh = u.mesh
-    tris = mesh.triangles
-    Abar = cons.A.values[tris].mean(axis=1)
-    Bbar = cons.B.values[tris].mean(axis=1)
+    Abar = mesh.at_centroids(cons.A.values)
+    Bbar = mesh.at_centroids(cons.B.values)
     gu = gradient(u).values
     gup = np.stack([-gu[:, 1], gu[:, 0]], axis=1)
     vals = np.einsum("tij,taj->tai", Abar, gu) \
@@ -395,7 +373,7 @@ def _structure_load(mesh, frame, Q, R, hodge, u):
     load = cell_load(mesh, jac1 + jac2 + jac3)
     # divergence term integrates by parts: <div(Q_k grad zeta^k), phi> =
     # -int Q_k grad(zeta^k) . grad(phi)
-    Qbar = Q.values[mesh.triangles].mean(axis=1)       # (nv->nt, k, n, n)
+    Qbar = mesh.at_centroids(Q.values)                 # (nt, k, n, n)
     gzeta = gradient(hodge.zeta).values                # (nt, 2, k)
     Fdiv = np.einsum("tkij,tak->taij", Qbar, gzeta)
     load = load + div_load(mesh, Fdiv)
@@ -490,8 +468,7 @@ def synthetic_gauge(mesh: DiskMesh, n: int = 3, amplitude: float = 0.4,
         xiv += xi_amplitude * prof[:, None, None] * J[None]
     xi_hat = Field(mesh, xiv)
 
-    tris = mesh.triangles
-    Pbar = Pv[tris].mean(axis=1)
+    Pbar = mesh.at_centroids(Pv)
     gxi_p = rotate_cell_field(gradient(xi_hat)).values
     gP = gradient(P_hat).values
     omega_vals = np.einsum("tik,takl,tjl->taij", Pbar, gxi_p, Pbar) \

@@ -101,21 +101,6 @@ class HardyEstimator:
         self._tree = cKDTree(mesh.centroids)
         self._radii = 1.0 - np.linalg.norm(mesh.vertices, axis=1)
         self._stencils = None
-        self._local_weights = self._build_local_average()
-
-    def _build_local_average(self):
-        mesh = self.mesh
-        rows = []
-        incident = [[] for _ in range(mesh.n_vertices)]
-        for t, tri in enumerate(mesh.triangles):
-            for v in tri:
-                incident[v].append(t)
-        areas = mesh.tri_areas
-        for v in range(mesh.n_vertices):
-            idx = np.asarray(incident[v], dtype=np.int64)
-            w = areas[idx]
-            rows.append((idx, w / w.sum()))
-        return rows
 
     def _scales(self, t0):
         """Geometric ladder refining each dyadic octave of t0 down to ~h."""
@@ -155,11 +140,11 @@ class HardyEstimator:
         if f.shape != (self.mesh.n_triangles,):
             raise UsageError("maximal expects a per-triangle scalar array")
         self._maybe_enable_cache()
-        areas = self.mesh.tri_areas
-        out = np.empty(self.mesh.n_vertices)
-        for v in range(self.mesh.n_vertices):
-            lidx, lw = self._local_weights[v]
-            best = abs(float((lw * np.abs(f[lidx])).sum()))
+        mesh = self.mesh
+        areas = mesh.tri_areas
+        # area-weighted average of |f| over the triangles around each vertex
+        out = (mesh.cell_to_vertex @ np.abs(f)) / mesh.lumped_mass
+        for v in range(mesh.n_vertices):
             t0 = self._radii[v]
             scales = self._scales(t0)
             if scales.size:
@@ -170,9 +155,8 @@ class HardyEstimator:
                     num = np.abs(W @ (f[idx] * areas[idx]))
                     valid = denom > 0.0
                     if np.any(valid):
-                        best = max(best, float((num[valid] / denom[valid]).max()))
-            out[v] = best
-        return Field(self.mesh, out)
+                        out[v] = max(out[v], (num[valid] / denom[valid]).max())
+        return Field(mesh, out)
 
     def h1_norm(self, f_cells) -> float:
         """Local Hardy norm: L1 norm of the radial maximal function."""

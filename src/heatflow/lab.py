@@ -85,8 +85,12 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
     unknown = sorted(set(boundary) - _BOUNDARY_KEYS[family])
     if unknown:
         raise ConfigurationError(f"unknown boundary key {unknown[0]!r}")
-    if family == "cap" and "delta" not in boundary:
-        raise ConfigurationError("cap boundary family needs 'delta'")
+    if family == "cap":
+        if "delta" not in boundary:
+            raise ConfigurationError("cap boundary family needs 'delta'")
+        if not _is_number(boundary["delta"]):
+            raise ConfigurationError(
+                f"boundary.delta must be a number, got {boundary['delta']!r}")
     if family == "fourier":
         coeffs = boundary.get("coeffs")
         if (not isinstance(coeffs, list) or not coeffs
@@ -96,21 +100,32 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
                 "4-element rows [a_k1, b_k1, a_k2, b_k2]")
 
     timestep = raw.get("timestep", {"factor": 4.0})
+    if not isinstance(timestep, dict):
+        raise ConfigurationError("timestep must be an object")
     unknown = sorted(set(timestep) - _TIMESTEP_KEYS)
     if unknown:
         raise ConfigurationError(f"unknown timestep key {unknown[0]!r}")
+    for key, value in timestep.items():
+        if not (_is_number(value) and math.isfinite(value) and value > 0):
+            raise ConfigurationError(
+                f"timestep.{key} must be a positive finite number, got {value!r}")
 
     eps0 = float(raw.get("eps0", 0.1))
     if not (eps0 > 0):
         raise ConfigurationError(f"eps0 must be positive, got {eps0}")
     t_end = float(raw["t_end"])
-    if not (t_end > 1):
-        raise ConfigurationError(f"t_end must exceed 1, got {t_end}")
+    if not (t_end > 1 and math.isfinite(t_end)):
+        raise ConfigurationError(f"t_end must be finite and exceed 1, got {t_end}")
     refinement = raw["refinement"]
     if not isinstance(refinement, int) or refinement < 0 or refinement > 10:
         raise ConfigurationError("refinement must be an integer in [0, 10]")
 
-    checks = tuple(raw.get("checks", DEFAULT_CHECKS))
+    checks = raw.get("checks", DEFAULT_CHECKS)
+    if (not isinstance(checks, (list, tuple))
+            or not all(isinstance(c, str) for c in checks)):
+        raise ConfigurationError(
+            f"checks must be a list of check names, got {checks!r}")
+    checks = tuple(checks)
     unknown = sorted(set(checks) - KNOWN_CHECKS)
     if unknown:
         raise ConfigurationError(f"unknown check {unknown[0]!r}")
@@ -136,6 +151,10 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
         snapshots=_int_key(raw, "snapshots", 64, 2),
         pair_samples=_int_key(raw, "pair_samples", 50, 0),
     )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _int_key(raw: dict, key: str, default: int, minimum: int) -> int:
@@ -227,9 +246,6 @@ def build_boundary_data(cfg: ScenarioConfig, mesh, m):
 # -- per-check execution ----------------------------------------------------------
 
 
-_NO_PAIRS = "no snapshot pair at or after T0 to evaluate"
-
-
 def _sample_pairs(rng, times, count):
     """Deterministic sample of index pairs (i < j) from the given times."""
     n = len(times)
@@ -250,7 +266,7 @@ def _check_convexity(traj, cfg, rng):
     post = st[st >= t0 - 1e-12]
     pairs = _sample_pairs(rng, post, cfg.pair_samples)
     if not pairs:
-        return {"verdict": "skipped", "reason": _NO_PAIRS}
+        return {"verdict": "skipped", "reason": flow_mod.NO_PAIRS}
     rep = flow_mod.convexity_report(traj, pairs, slack=CONVEXITY_SLACK)
     out = {
         "verdict": "pass" if not rep.failures else "fail",
@@ -269,6 +285,9 @@ def _check_convexity(traj, cfg, rng):
 
 
 def _check_ut_monotone(traj, cfg, rng):
+    if len(traj.times) < 3:
+        return {"verdict": "skipped",
+                "reason": "trajectory has fewer than three stored steps"}
     res = flow_mod.ut_monotonicity_check(traj)
     if res["T0"] is None:
         return {"verdict": "skipped", "reason": res["note"]}
@@ -304,7 +323,7 @@ def _check_cross_term(traj, cfg, rng):
     post = st[st >= t0 - 1e-12]
     pairs = _sample_pairs(rng, post, min(cfg.pair_samples, 25))
     if not pairs:
-        return {"verdict": "skipped", "reason": _NO_PAIRS}
+        return {"verdict": "skipped", "reason": flow_mod.NO_PAIRS}
     cs = []
     degenerate = 0
     for (t1, t2) in pairs:
@@ -321,9 +340,8 @@ def _check_cross_term(traj, cfg, rng):
 
 def _check_cauchy(traj, cfg, rng):
     res = flow_mod.cauchy_certificate(traj)
-    if res["pairs"] == 0:
-        reason = "T0 undetected" if traj.detected_t0() is None else _NO_PAIRS
-        return {"verdict": "skipped", "reason": reason}
+    if res["passes"] is None:
+        return {"verdict": "skipped", "reason": res["reason"]}
     return {"verdict": "pass" if res["passes"] else "fail", **res}
 
 
@@ -584,3 +602,5 @@ def _run_one_suite_entry(config_path: str, out_root):
         return {"report": report, "error": None}
     except HeatflowError as exc:
         return {"report": None, "error": str(exc)}
+    except Exception as exc:
+        return {"report": None, "error": f"{type(exc).__name__}: {exc}"}

@@ -563,7 +563,7 @@ def assemble_omega(m: TargetManifold, u: Field) -> ConnectionForm:
     if viol > _ON_MANIFOLD_TOL:
         raise UsageError(f"map has vertex values off the manifold by {viol:.2e}")
     g = gradient(u).values  # (nt, 2, n)
-    centers = m.project(u.values[u.mesh.triangles].mean(axis=1))
+    centers = m.project(u.mesh.at_centroids(u.values))
     theta = m.omega_tensor(centers)  # (nt, n, n, l)
     vals = np.einsum("tizl,tal->taiz", theta, g)
     return ConnectionForm(u.mesh, vals)

@@ -65,7 +65,7 @@ class DiskMesh:
 
     @cached_property
     def centroids(self):
-        return self.vertices[self.triangles].mean(axis=1)
+        return self.C @ self.vertices
 
     @cached_property
     def h(self):
@@ -112,24 +112,37 @@ class DiskMesh:
         return np.flatnonzero(self.boundary)
 
     @cached_property
+    def D(self):
+        """P1 gradient, CSR (2 nt, nv): row 2t+a holds hat_gradients[t, :, a]."""
+        nt = self.n_triangles
+        cols = np.repeat(self.triangles[:, None, :], 2, axis=1).ravel()
+        data = self.hat_gradients.transpose(0, 2, 1).ravel()
+        return sp.csr_matrix((data, cols, np.arange(0, 6 * nt + 1, 3)),
+                             shape=(2 * nt, self.n_vertices))
+
+    @cached_property
+    def C(self):
+        """Centroid average, CSR (nt, nv): entries 1/3 at each triangle's vertices."""
+        nt = self.n_triangles
+        return sp.csr_matrix((np.full(3 * nt, 1.0 / 3.0), self.triangles.ravel(),
+                              np.arange(0, 3 * nt + 1, 3)),
+                             shape=(nt, self.n_vertices))
+
+    def at_centroids(self, values):
+        """Centroid averages C @ values of a vertex array with any payload."""
+        return _along_rows(self.C, values)
+
+    @cached_property
     def lumped_mass(self):
-        """Integrals of the hat functions (exact): m_i = sum of A_t/3 over incident t."""
-        m = np.zeros(self.n_vertices)
-        w = np.repeat(self.tri_areas / 3.0, 3)
-        np.add.at(m, self.triangles.ravel(), w)
-        return m
+        """Integrals of the hat functions (exact): m = C^T a."""
+        return self.C.T @ self.tri_areas
 
     @cached_property
     def stiffness(self):
-        """P1 stiffness matrix K_ij = int grad(phi_i) . grad(phi_j), CSR."""
-        g = self.hat_gradients
-        a = self.tri_areas
-        kloc = np.einsum("tia,tja->tij", g, g) * a[:, None, None]
-        rows = np.repeat(self.triangles, 3, axis=1).ravel()
-        cols = np.tile(self.triangles, (1, 3)).ravel()
-        K = sp.coo_matrix((kloc.ravel(), (rows, cols)),
-                          shape=(self.n_vertices, self.n_vertices))
-        return K.tocsr()
+        """P1 stiffness matrix K = D^T diag(a, a) D, CSR. It is formed as
+        B^T B with B = diag(sqrt(a, a)) D, which keeps K exactly symmetric."""
+        B = sp.diags(np.sqrt(np.repeat(self.tri_areas, 2))) @ self.D
+        return (B.T @ B).tocsr()
 
     @cached_property
     def mass(self):
@@ -153,13 +166,16 @@ class DiskMesh:
 
     @cached_property
     def cell_to_vertex(self):
-        """Sparse (nv, nt) scatter of per-triangle densities against hats:
-        (cell_to_vertex @ f)_i = sum over incident t of (A_t/3) f_t."""
-        rows = self.triangles.ravel()
-        cols = np.repeat(np.arange(self.n_triangles), 3)
-        data = np.repeat(self.tri_areas / 3.0, 3)
-        return sp.coo_matrix((data, (rows, cols)),
-                             shape=(self.n_vertices, self.n_triangles)).tocsr()
+        """Sparse (nv, nt) scatter of per-triangle densities against hats,
+        C^T diag(a): (cell_to_vertex @ f)_i = sum over incident t of (A_t/3) f_t."""
+        return (self.C.T @ sp.diags(self.tri_areas)).tocsr()
+
+
+def _along_rows(A, values):
+    """Sparse A applied to the first axis of values (any trailing payload)."""
+    values = np.asarray(values, dtype=float)
+    out = A @ values.reshape(values.shape[0], -1)
+    return out.reshape((A.shape[0],) + values.shape[1:])
 
 
 def _signed_area2(p):
@@ -345,14 +361,10 @@ class CellVectorField:
 
 
 def gradient(f: Field) -> CellVectorField:
-    """Exact per-triangle gradient of the piecewise-linear interpolant."""
+    """Exact per-triangle gradient of the piecewise-linear interpolant, D @ f."""
     mesh = f.mesh
-    g = mesh.hat_gradients
-    vtx = f.values[mesh.triangles]  # (nt, 3, *payload)
-    payload = vtx.shape[2:]
-    flat = vtx.reshape(mesh.n_triangles, 3, -1)
-    vals = np.matmul(g.transpose(0, 2, 1), flat)
-    return CellVectorField(mesh, vals.reshape((mesh.n_triangles, 2) + payload))
+    vals = _along_rows(mesh.D, f.values)
+    return CellVectorField(mesh, vals.reshape((mesh.n_triangles, 2) + f.payload))
 
 
 def perp_gradient(f: Field) -> CellVectorField:
@@ -405,6 +417,23 @@ def norms(f) -> dict:
     raise UsageError(f"norms expects a Field or CellVectorField, got {type(f)!r}")
 
 
+def _weighted_adjoint(mesh: DiskMesh, F: np.ndarray) -> np.ndarray:
+    """D^T (a F) = sum over triangles of A_t F . grad(phi_i), for F (nt, 2, ...)."""
+    aF = mesh.tri_areas.reshape((-1,) + (1,) * (F.ndim - 1)) * F
+    return _along_rows(mesh.D.T, aF.reshape((2 * mesh.n_triangles,) + F.shape[2:]))
+
+
+def div_load(mesh: DiskMesh, F: np.ndarray) -> np.ndarray:
+    """<div F, phi_i> = -int F . grad(phi_i) = -D^T (a F) for a cell field F."""
+    return -_weighted_adjoint(mesh, F)
+
+
+def curl_load(mesh: DiskMesh, F: np.ndarray) -> np.ndarray:
+    """<curl F, phi_i> = -int F . perp_grad(phi_i) = D^T (a rot F), with
+    rot F = (-F_y, F_x), for a cell field F."""
+    return _weighted_adjoint(mesh, np.stack([-F[:, 1], F[:, 0]], axis=1))
+
+
 def weak_div_curl(F: CellVectorField):
     """Mass-lumped weak divergence and curl as vertex fields.
 
@@ -412,20 +441,9 @@ def weak_div_curl(F: CellVectorField):
     the lumped mass; they approximate div/curl at interior vertices only.
     """
     mesh = F.mesh
-    g = mesh.hat_gradients
-    a = mesh.tri_areas
-    Fx, Fy = F.values[:, 0], F.values[:, 1]
-    payload = F.payload
-    div = np.zeros((mesh.n_vertices,) + payload)
-    curl = np.zeros((mesh.n_vertices,) + payload)
-    for l in range(3):
-        gx = g[:, l, 0].reshape((-1,) + (1,) * len(payload))
-        gy = g[:, l, 1].reshape((-1,) + (1,) * len(payload))
-        aa = a.reshape((-1,) + (1,) * len(payload))
-        np.add.at(div, mesh.triangles[:, l], -aa * (Fx * gx + Fy * gy))
-        np.add.at(curl, mesh.triangles[:, l], aa * (Fx * gy - Fy * gx))
-    m = mesh.lumped_mass.reshape((-1,) + (1,) * len(payload))
-    return Field(mesh, div / m), Field(mesh, curl / m)
+    m = mesh.lumped_mass.reshape((-1,) + (1,) * len(F.payload))
+    return (Field(mesh, div_load(mesh, F.values) / m),
+            Field(mesh, curl_load(mesh, F.values) / m))
 
 
 def interpolate(mesh: DiskMesh, g) -> Field:

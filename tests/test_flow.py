@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -348,3 +350,20 @@ def test_certificates_compute_each_snapshot_gradient_once(mesh_at, monkeypatch):
     calls.clear()
     cross_term_check(traj, st[2], st[6], 0.1)
     assert len(calls) == 2
+
+
+def test_cauchy_certificate_without_pairs_does_not_pass(mesh_at):
+    # eps0 just below the penultimate kinetic norm moves T0 to the last step,
+    # so exactly one snapshot lies at or after T0 and no pair exists
+    mesh = mesh_at(1)
+    m = Sphere(3)
+    traj = run_flow(mesh, m, cap_boundary(mesh, m, 0.12), 2.0,
+                    4 * mesh.h ** 2, 0.1, snapshot_times=np.linspace(0, 2, 9))
+    late = dataclasses.replace(traj, eps0=float(traj.ut_l2_sq[-2]))
+    assert late.detected_t0() is not None
+    res = cauchy_certificate(late)
+    assert res["pairs"] == 0
+    assert res["passes"] is None
+    assert res["reason"] == "no snapshot pair at or after T0 to evaluate"
+    res = cauchy_certificate(dataclasses.replace(traj, eps0=0.0))
+    assert res["passes"] is None and res["reason"] == "T0 undetected"

@@ -8,7 +8,7 @@ from heatflow.gauge import (_frame_energy_grad, b_sup_estimate,
                             p_oscillation, p_structure, polar_rotation,
                             recover_xi, synthetic_gauge)
 from heatflow.manifold import ConnectionForm, Sphere, assemble_omega
-from heatflow.mesh import Field, gradient, interpolate, norms
+from heatflow.mesh import Field, build_disk_mesh, gradient, interpolate, norms
 
 from conftest import cap_boundary
 
@@ -270,3 +270,37 @@ def test_gauge_residual_refinement_rate(mesh_at):
     rates = np.log(np.array(rs[:-1]) / np.array(rs[1:])) \
         / np.log(np.array(hs[:-1]) / np.array(hs[1:]))
     assert rates.min() >= 0.8
+
+
+def test_each_factor_is_built_once_per_mesh(monkeypatch):
+    import scipy.sparse.linalg as spla
+    shapes = []
+    splu = spla.splu
+
+    def counting(A, *args, **kwargs):
+        shapes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    mesh = build_disk_mesh(2)   # fresh: no factor cached yet
+    m = Sphere(3)
+    chi = cap_boundary(mesh, m, 0.12)
+
+    def flow_and_gauge_chain():
+        traj = run_flow(mesh, m, chi, 1.0, 4 * mesh.h ** 2, 0.1,
+                        snapshot_times=[0.0, 1.0])
+        assert traj.halvings == 0
+        snap = traj.snapshots[-1]
+        omega = assemble_omega(m, snap.u)
+        frame = gauge_frame(omega)
+        cons = construct_AB(frame, omega)
+        hodge = hodge_decompose(flux_field(cons, snap.u))
+        p_structure(cons, frame, snap.u, m, hodge)
+        conservation_residual(cons, snap.u, snap.ut)
+
+    flow_and_gauge_chain()
+    ni, nv = len(mesh.interior_idx), mesh.n_vertices
+    # interior LU, step LU, Sobolev preconditioner, bordered Neumann LU
+    assert sorted(shapes) == sorted([ni, ni, nv, nv + 1])
+    flow_and_gauge_chain()
+    assert len(shapes) == 4

@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from heatflow import lab
 from heatflow.cli import main as cli_main
 from heatflow.errors import ConfigurationError, UsageError
 from heatflow.flow import run_flow
@@ -111,6 +113,19 @@ def test_config_rejects_bad_env_seed(monkeypatch, value):
         validate_config(dict(MINIMAL))
 
 
+@pytest.mark.parametrize("update, key", [
+    ({"checks": "gauge"}, "checks"),
+    ({"timestep": 5}, "timestep"),
+    ({"timestep": {"factor": -1}}, "timestep.factor"),
+    ({"timestep": {"tau": float("inf")}}, "timestep.tau"),
+    ({"t_end": float("inf")}, "t_end"),
+    ({"boundary": {"family": "cap", "delta": "0.1"}}, "boundary.delta"),
+])
+def test_config_rejects_values_that_cannot_run(update, key):
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        validate_config(dict(MINIMAL, **update))
+
+
 def test_run_scenario_smoke(tmp_path):
     cfg = validate_config(dict(SMALL_FAST))
     report = run_scenario(cfg, out_dir=tmp_path / "out")
@@ -180,6 +195,16 @@ def test_single_post_t0_snapshot_skips_pair_checks(mesh_at):
     assert res == {"verdict": "skipped", "reason": "T0 undetected"}
 
 
+def test_short_trajectory_skips_ut_monotone():
+    # one step of tau = 5 overshoots t_end = 2, so only t = 0 is stored
+    cfg = validate_config(dict(SMALL_FAST, timestep={"tau": 5}))
+    report = run_scenario(cfg)
+    assert report["trajectory"]["steps"] < 2
+    res = report["checks"]["ut_monotone"]
+    assert res["verdict"] == "skipped"
+    assert res["reason"]
+
+
 def test_fourier_boundary_runs():
     cfg = validate_config({
         "target": {"kind": "sphere", "n": 3},
@@ -245,6 +270,26 @@ def test_verify_suite_flags_failure(tmp_path):
     aggregate, code = verify_suite(cfgdir)
     assert code == 1
     assert any("bad" in f for f in aggregate["failures"])
+
+
+def test_verify_suite_names_scenario_of_any_crash(tmp_path, monkeypatch):
+    cfgdir = tmp_path / "suite"
+    cfgdir.mkdir()
+    (cfgdir / "good.json").write_text(json.dumps(SMALL_FAST))
+    (cfgdir / "boom.json").write_text(json.dumps(SMALL_FAST))
+    real = lab.run_scenario
+
+    def run(cfg, out_dir=None):
+        if cfg.name == "boom":
+            raise ZeroDivisionError("float division by zero")
+        return real(cfg, out_dir=out_dir)
+
+    monkeypatch.setattr(lab, "run_scenario", run)
+    aggregate, code = verify_suite(cfgdir)
+    assert code == 1
+    assert aggregate["failures"] == [
+        "boom: crashed: ZeroDivisionError: float division by zero"]
+    assert aggregate["scenarios"]["good"]["cauchy"]["verdict"] == "pass"
 
 
 def test_verify_suite_empty_dir(tmp_path):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from heatflow.errors import ConfigurationError, InputError, UsageError
-from heatflow.mesh import (CellVectorField, Field, build_disk_mesh, gradient,
-                           interpolate, jacobian_product, load_mesh, norms,
-                           perp_gradient, save_mesh, weak_div_curl)
+from heatflow.mesh import (CellVectorField, Field, build_disk_mesh, curl_load,
+                           div_load, gradient, interpolate, jacobian_product,
+                           load_mesh, norms, perp_gradient, save_mesh,
+                           weak_div_curl)
 
 from conftest import stereographic
 
@@ -215,3 +216,98 @@ def test_mesh_io_roundtrip(tmp_path, mesh2):
     assert np.array_equal(back.vertices, mesh2.vertices)
     assert np.array_equal(back.triangles, mesh2.triangles)
     assert np.array_equal(back.boundary, mesh2.boundary)
+
+
+def _reference_operators(mesh):
+    """Per-triangle loops from the hat-function formulas: the hat gradients
+    are the last two rows of inv([[1, x_l, y_l]]), the centroid the vertex
+    mean, the stiffness and loads sums of A_t grad(phi_i) . (...)."""
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    grads = np.empty((nt, 3, 2))
+    areas = np.empty(nt)
+    for t, tri in enumerate(mesh.triangles):
+        p = mesh.vertices[tri]
+        V = np.column_stack([np.ones(3), p])
+        grads[t] = np.linalg.inv(V)[1:].T
+        areas[t] = 0.5 * abs(np.linalg.det(V))
+    K = np.zeros((nv, nv))
+    mass = np.zeros(nv)
+    c2v = np.zeros((nv, nt))
+    for t, tri in enumerate(mesh.triangles):
+        for i in range(3):
+            mass[tri[i]] += areas[t] / 3.0
+            c2v[tri[i], t] += areas[t] / 3.0
+            for j in range(3):
+                K[tri[i], tri[j]] += areas[t] * grads[t, i] @ grads[t, j]
+    return grads, areas, K, mass, c2v
+
+
+def _ref_gradient(mesh, grads, vals):
+    out = np.zeros((mesh.n_triangles, 2) + vals.shape[1:])
+    for t, tri in enumerate(mesh.triangles):
+        for l in range(3):
+            out[t] += np.multiply.outer(grads[t, l], vals[tri[l]])
+    return out
+
+
+def _ref_loads(mesh, grads, areas, F):
+    div = np.zeros((mesh.n_vertices,) + F.shape[2:])
+    curl = np.zeros_like(div)
+    for t, tri in enumerate(mesh.triangles):
+        for l in range(3):
+            gx, gy = grads[t, l]
+            div[tri[l]] -= areas[t] * (gx * F[t, 0] + gy * F[t, 1])
+            curl[tri[l]] += areas[t] * (gy * F[t, 0] - gx * F[t, 1])
+    return div, curl
+
+
+def _close(a, b, rtol=1e-13):
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a - b).max() <= rtol * max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("payload", [(3,), (3, 3)])
+def test_operators_match_per_triangle_reference(mesh_at, payload):
+    mesh = mesh_at(1)
+    grads, areas, K, mass, c2v = _reference_operators(mesh)
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((mesh.n_vertices,) + payload)
+    F = rng.standard_normal((mesh.n_triangles, 2) + payload)
+
+    assert _close(gradient(Field(mesh, vals)).values, _ref_gradient(mesh, grads, vals))
+    assert _close(mesh.centroids, mesh.vertices[mesh.triangles].sum(axis=1) / 3.0)
+    assert _close(mesh.at_centroids(vals),
+                  np.array([vals[tri].sum(axis=0) / 3.0 for tri in mesh.triangles]))
+    assert _close(mesh.stiffness.toarray(), K)
+    assert _close(mesh.lumped_mass, mass)
+    assert _close(mesh.cell_to_vertex.toarray(), c2v)
+    div, curl = _ref_loads(mesh, grads, areas, F)
+    assert _close(div_load(mesh, F), div)
+    assert _close(curl_load(mesh, F), curl)
+    wd, wc = weak_div_curl(CellVectorField(mesh, F))
+    m = mass.reshape((-1,) + (1,) * len(payload))
+    assert _close(wd.values, div / m)
+    assert _close(wc.values, curl / m)
+
+
+def test_frame_energy_gradient_matches_per_triangle_reference(mesh_at):
+    from heatflow.gauge import _frame_energy_grad
+    mesh = mesh_at(1)
+    grads, areas, _, _, _ = _reference_operators(mesh)
+    rng = np.random.default_rng(4)
+    n = 3
+    Pv = rng.standard_normal((mesh.n_vertices, n, n))
+    omega = rng.standard_normal((mesh.n_triangles, 2, n, n))
+    E_ref = 0.0
+    grad_ref = np.zeros_like(Pv)
+    for t, tri in enumerate(mesh.triangles):
+        Pbar = Pv[tri].sum(axis=0) / 3.0
+        for a in range(2):
+            M = sum(grads[t, l, a] * Pv[tri[l]] for l in range(3)) + omega[t, a] @ Pbar
+            E_ref += areas[t] * (M ** 2).sum()
+            for l in range(3):
+                grad_ref[tri[l]] += 2.0 * areas[t] * (grads[t, l, a] * M
+                                                      + omega[t, a].T @ M / 3.0)
+    E, grad = _frame_energy_grad(mesh, Pv, omega)
+    assert _close(E, E_ref)
+    assert _close(grad, grad_ref)
