@@ -20,6 +20,6 @@ from .gauge import (ConservationFrame, GaugeFrame, PStructure, b_sup_estimate,
                     minimize_gauge, p_oscillation, p_structure, recover_xi,
                     synthetic_gauge)
 from .hardy import (BumpProfile, HardyEstimator, build_bump, h1_energy_check,
-                    h1_norm, pointwise_lower_bound_check, radial_maximal)
+                    pointwise_lower_bound_check)
 from .lab import (ScenarioConfig, load_config, run_scenario, validate_config,
                   verify_suite)

@@ -88,16 +88,19 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if family == "cap":
         if "delta" not in boundary:
             raise ConfigurationError("cap boundary family needs 'delta'")
-        if not _is_number(boundary["delta"]):
+        if not _is_finite_number(boundary["delta"]):
             raise ConfigurationError(
-                f"boundary.delta must be a number, got {boundary['delta']!r}")
+                f"boundary.delta must be a finite number, got {boundary['delta']!r}")
     if family == "fourier":
         coeffs = boundary.get("coeffs")
         if (not isinstance(coeffs, list) or not coeffs
-                or any(len(row) != 4 for row in coeffs)):
+                or not all(isinstance(row, list) and len(row) == 4
+                           and all(_is_finite_number(c) for c in row)
+                           for row in coeffs)):
             raise ConfigurationError(
-                "fourier boundary family needs 'coeffs', a non-empty list of "
-                "4-element rows [a_k1, b_k1, a_k2, b_k2]")
+                "boundary.coeffs of the fourier family must be a non-empty "
+                "list of rows of 4 finite numbers [a_k1, b_k1, a_k2, b_k2], "
+                f"got {coeffs!r}")
 
     timestep = raw.get("timestep", {"factor": 4.0})
     if not isinstance(timestep, dict):
@@ -106,19 +109,23 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
     if unknown:
         raise ConfigurationError(f"unknown timestep key {unknown[0]!r}")
     for key, value in timestep.items():
-        if not (_is_number(value) and math.isfinite(value) and value > 0):
+        if not (_is_finite_number(value) and value > 0):
             raise ConfigurationError(
                 f"timestep.{key} must be a positive finite number, got {value!r}")
 
-    eps0 = float(raw.get("eps0", 0.1))
-    if not (eps0 > 0):
-        raise ConfigurationError(f"eps0 must be positive, got {eps0}")
-    t_end = float(raw["t_end"])
-    if not (t_end > 1 and math.isfinite(t_end)):
-        raise ConfigurationError(f"t_end must be finite and exceed 1, got {t_end}")
+    eps0 = raw.get("eps0", 0.1)
+    if not (_is_finite_number(eps0) and eps0 > 0):
+        raise ConfigurationError(
+            f"eps0 must be a positive finite number, got {eps0!r}")
+    t_end = raw["t_end"]
+    if not (_is_finite_number(t_end) and t_end > 1):
+        raise ConfigurationError(
+            f"t_end must be a finite number exceeding 1, got {t_end!r}")
     refinement = raw["refinement"]
-    if not isinstance(refinement, int) or refinement < 0 or refinement > 10:
-        raise ConfigurationError("refinement must be an integer in [0, 10]")
+    if (isinstance(refinement, bool) or not isinstance(refinement, int)
+            or refinement < 0 or refinement > 10):
+        raise ConfigurationError(
+            f"refinement must be an integer in [0, 10], got {refinement!r}")
 
     checks = raw.get("checks", DEFAULT_CHECKS)
     if (not isinstance(checks, (list, tuple))
@@ -143,8 +150,8 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
         target=dict(raw["target"]),
         boundary=dict(boundary),
         refinement=refinement,
-        t_end=t_end,
-        eps0=eps0,
+        t_end=float(t_end),
+        eps0=float(eps0),
         timestep=dict(timestep),
         checks=checks,
         seed=seed,
@@ -153,8 +160,9 @@ def validate_config(raw: dict, name: str = "scenario") -> ScenarioConfig:
     )
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _int_key(raw: dict, key: str, default: int, minimum: int) -> int:

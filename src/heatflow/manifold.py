@@ -484,7 +484,12 @@ def from_config(cfg: dict) -> TargetManifold:
     if kind == "sphere":
         known = {"n"}
         _reject_unknown(extra, known, "target")
-        return Sphere(n=int(extra.get("n", 3)))
+        n = extra.get("n", 3)
+        # S^1 (n = 2) has no tangent pair for the boundary families
+        if isinstance(n, bool) or not isinstance(n, int) or n < 3:
+            raise ConfigurationError(
+                f"target.n must be an integer >= 3, got {n!r}")
+        return Sphere(n=n)
     if kind == "torus3":
         known = {"R", "r"}
         _reject_unknown(extra, known, "target")

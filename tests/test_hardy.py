@@ -6,8 +6,7 @@ from heatflow.elliptic import hodge_decompose
 from heatflow.flow import run_flow
 from heatflow.gauge import construct_AB, flux_field, gauge_frame
 from heatflow.hardy import (HardyEstimator, build_bump, h1_energy_check,
-                            h1_norm, pointwise_lower_bound_check,
-                            radial_maximal)
+                            pointwise_lower_bound_check)
 from heatflow.manifold import Sphere, assemble_omega
 from heatflow.mesh import interpolate, jacobian_product, norms
 
@@ -45,6 +44,59 @@ def dense_maximal_oracle(mesh, bump, f_cells, n_scales=200):
     return out
 
 
+def ladder_maximal_reference(est, f_cells):
+    """est's scale ladder on every vertex's full outermost stencil, with the
+    bump evaluated at every scale and entry and applied as W @ (f a)."""
+    mesh, bump = est.mesh, est.bump
+    areas = mesh.tri_areas
+    radii = 1.0 - np.linalg.norm(mesh.vertices, axis=1)
+    out = (mesh.cell_to_vertex @ np.abs(f_cells)) / mesh.lumped_mass
+    for v in range(mesh.n_vertices):
+        scales = est._scales(radii[v])
+        d = np.linalg.norm(mesh.centroids - mesh.vertices[v], axis=1)
+        sel = np.flatnonzero(d <= bump.r_out * radii[v] + 1e-12)
+        if not (scales.size and sel.size):
+            continue
+        W = bump(d[sel][None, :] / scales[:, None])
+        denom = W @ areas[sel]
+        num = np.abs(W @ (f_cells[sel] * areas[sel]))
+        valid = denom > 0.0
+        if np.any(valid):
+            out[v] = max(out[v], (num[valid] / denom[valid]).max())
+    return out
+
+
+def _positive_and_signed(mesh):
+    c = mesh.centroids
+    return {"positive": 1.0 + np.exp(-(c ** 2).sum(axis=1) / 0.02),
+            "signed": np.sin(7 * c[:, 0]) * c[:, 1] + 0.1 * np.cos(5 * c[:, 1])}
+
+
+@pytest.mark.parametrize("ref", [2, 3])
+def test_maximal_matches_full_stencil_reference(mesh_at, ref):
+    est = estimator(mesh_at, ref)
+    for kind, f in _positive_and_signed(mesh_at(ref)).items():
+        mine = est.maximal(f).values
+        ref_vals = ladder_maximal_reference(est, f)
+        rel = np.abs(mine - ref_vals) / np.abs(ref_vals)
+        assert rel.max() <= 1e-13, kind
+
+
+def test_cached_and_streamed_stencils_agree_exactly(mesh_at, monkeypatch):
+    mesh = mesh_at(3)
+    f = _positive_and_signed(mesh)["signed"]
+    cached = HardyEstimator(mesh)
+    filling = cached.maximal(f).values
+    reading = cached.maximal(f).values
+    assert cached._stencils is not None
+    monkeypatch.setattr(HardyEstimator, "CACHE_LIMIT", 0)
+    streamed = HardyEstimator(mesh)
+    out = streamed.maximal(f).values
+    assert streamed._stencils is None
+    assert np.array_equal(filling, out)
+    assert np.array_equal(reading, out)
+
+
 def test_bump_constraints():
     b = build_bump()
     assert not b.adjusted
@@ -64,15 +116,15 @@ def test_bump_constraints():
 def test_maximal_constant_density(mesh3):
     est = HardyEstimator(mesh3)
     ones = np.ones(mesh3.n_triangles)
-    fs = radial_maximal(est, ones)
+    fs = est.maximal(ones)
     assert np.abs(fs.values - 1.0).max() <= 1e-12
     zeros = np.zeros(mesh3.n_triangles)
-    assert np.abs(radial_maximal(est, zeros).values).max() == 0.0
+    assert np.abs(est.maximal(zeros).values).max() == 0.0
 
 
 def test_h1_norm_of_one_is_area(mesh_at):
     est = estimator(mesh_at, 3)
-    val = h1_norm(est, np.ones(mesh_at(3).n_triangles))
+    val = est.h1_norm(np.ones(mesh_at(3).n_triangles))
     assert abs(val - np.pi) <= 0.01 * np.pi
 
 
@@ -83,7 +135,7 @@ def test_maximal_matches_dense_oracle_on_bumps(mesh_at):
     for rho in (0.1, 0.05):
         f = np.maximum(0.0, 1.0 - (mesh.centroids ** 2).sum(axis=1) / rho ** 2)
         f /= (mesh.tri_areas * f).sum()
-        mine = radial_maximal(est, f).values
+        mine = est.maximal(f).values
         oracle = dense_maximal_oracle(mesh, bump, f)
         # aggregate agreement of the Hardy norms
         h1_mine = (mesh.lumped_mass * mine).sum()
@@ -139,8 +191,8 @@ def test_maximal_monotone_under_domination(mesh2):
     for _ in range(5):
         f = rng.uniform(0.0, 1.0, mesh2.n_triangles)
         g = f + rng.uniform(0.0, 1.0, mesh2.n_triangles)
-        fs = radial_maximal(est, f).values
-        gs = radial_maximal(est, g).values
+        fs = est.maximal(f).values
+        gs = est.maximal(g).values
         assert np.all(fs <= gs + 1e-12)
         assert est.h1_norm(f) <= est.h1_norm(g) + 1e-10
 
@@ -171,7 +223,7 @@ def test_boundary_vertices_use_local_value(mesh2):
     est = HardyEstimator(mesh2)
     rng = np.random.default_rng(9)
     f = rng.uniform(0.5, 1.5, mesh2.n_triangles)
-    fs = radial_maximal(est, f).values
+    fs = est.maximal(f).values
     for v in mesh2.boundary_idx[:10]:
         incident = np.flatnonzero((mesh2.triangles == v).any(axis=1))
         w = mesh2.tri_areas[incident]

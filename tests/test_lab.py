@@ -120,6 +120,17 @@ def test_config_rejects_bad_env_seed(monkeypatch, value):
     ({"timestep": {"tau": float("inf")}}, "timestep.tau"),
     ({"t_end": float("inf")}, "t_end"),
     ({"boundary": {"family": "cap", "delta": "0.1"}}, "boundary.delta"),
+    ({"t_end": "abc"}, "t_end"),
+    ({"eps0": "abc"}, "eps0"),
+    ({"eps0": float("inf")}, "eps0"),
+    ({"refinement": True}, "refinement"),
+    ({"target": {"kind": "sphere", "n": 2}}, "target.n"),
+    ({"boundary": {"family": "cap", "delta": float("nan")}}, "boundary.delta"),
+    ({"boundary": {"family": "fourier", "coeffs": [["a", 0, 0, 0]]}},
+     "boundary.coeffs"),
+    ({"boundary": {"family": "fourier", "coeffs": [[1, 2, 3, float("nan")]]}},
+     "boundary.coeffs"),
+    ({"boundary": {"family": "fourier", "coeffs": [5]}}, "boundary.coeffs"),
 ])
 def test_config_rejects_values_that_cannot_run(update, key):
     with pytest.raises(ConfigurationError, match=re.escape(key)):

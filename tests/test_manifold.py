@@ -219,3 +219,10 @@ def test_from_config():
         from_config({"kind": "sphere", "radius": 2})
     with pytest.raises(ConfigurationError):
         from_config({"kind": "banana"})
+
+
+@pytest.mark.parametrize("n", [2, 3.0, "3", True])
+def test_from_config_sphere_needs_integer_n_of_at_least_3(n):
+    from heatflow.errors import ConfigurationError
+    with pytest.raises(ConfigurationError, match=r"target\.n"):
+        from_config({"kind": "sphere", "n": n})
