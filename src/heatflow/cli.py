@@ -9,12 +9,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gauge as gauge_mod
 from . import hardy as hardy_mod
 from . import manifold as manifold_mod
-from .elliptic import hodge_decompose
 from .errors import HeatflowError
-from .lab import load_config, read_snapshot, run_scenario, verify_suite
+from .lab import (gauge_diagnostics, load_config, read_snapshot, run_scenario,
+                  verify_suite)
 from .mesh import Field, build_disk_mesh, save_mesh
 
 
@@ -84,51 +83,15 @@ def _cmd_verify(args):
 
 def _cmd_gauge(args):
     cfg, mesh, m, t, u, ut = _load_snapshot_pair(args)
-    omega = manifold_mod.assemble_omega(m, u)
-    frame = gauge_mod.gauge_frame(omega)
-    cons = gauge_mod.construct_AB(frame, omega)
-    hodge = hodge_decompose(gauge_mod.flux_field(cons, u))
-    structure = gauge_mod.p_structure(cons, frame, u, m, hodge)
-    from .mesh import norms
-    ut_norm = norms(ut)["L2"]
-    posc = gauge_mod.p_oscillation(frame, structure, ut_norm,
-                                   gauge_mod.default_probes(), cfg.eps0)
-    out = {
-        "t": t,
-        "omega_l2": omega.l2_norm(),
-        "energy": frame.energy,
-        "r_gauge": frame.r_gauge,
-        "r_cons": cons.r_cons,
-        "conservation_residual_dual":
-            gauge_mod.conservation_residual(cons, u, ut),
-        "B_sup_ratio": gauge_mod.b_sup_estimate(cons, u, m)["ratio"],
-        "p_structure_residual": structure.residual_dual,
-        "p_osc_ratio": posc["ratio"],
-        "iterations": {"descent": frame.iterations,
-                       "fixed_point": cons.iterations},
-    }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json.dumps(gauge_diagnostics(u, ut, m, cfg.eps0, t),
+                     indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_hardy(args):
     cfg, mesh, m, t, u, ut = _load_snapshot_pair(args)
-    from .elliptic import energy_density, psi_energy_density
-    est = hardy_mod.HardyEstimator(mesh)
-    dens = energy_density(u)
-    h1 = est.h1_norm(dens)
-    e_raw = float((mesh.tri_areas * dens).sum())
-    sol = psi_energy_density(u)
-    combo = sol.diagnostics["psi_linf_plus_grad_l2"]
-    out = {
-        "t": t,
-        "h1_density": h1,
-        "energy_raw": e_raw,
-        "h1_over_energy": h1 / e_raw if e_raw > 1e-14 else 0.0,
-        "cdsthm_C": combo / h1 if h1 > 1e-14 else 0.0,
-        "psi_linf_plus_grad_l2": combo,
-    }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json.dumps(hardy_mod.h1_row(hardy_mod.HardyEstimator(mesh), u, t),
+                     indent=2, sort_keys=True))
     return 0
 
 

@@ -14,8 +14,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverFailure, UsageError
-from .mesh import (CellVectorField, DiskMesh, Field, curl_load, div_load, gradient,
-                   jacobian_product, norms, perp_gradient)
+from .mesh import (CellVectorField, DiskMesh, Field, curl_load, div_load,
+                   energy_density, gradient, jacobian_product, norms,
+                   perp_gradient)
 
 CG_RTOL = 1e-12
 RESIDUAL_TOL = 1e-11
@@ -89,20 +90,20 @@ def _cg_solve(A, b):
     return x
 
 
-def solve_interior(mesh: DiskMesh, load: np.ndarray, method: str = "auto"):
+def solve_interior(mesh: DiskMesh, load: np.ndarray, method: str = "direct"):
     """Solve K_II x_I = load_I with zero boundary values.
 
     `load` is the full-length load vector (boundary rows ignored), possibly
     with extra payload axes. Returns vertex values with exact zero trace
-    plus the relative residual of the interior system. "auto" and "direct"
-    use the mesh's cached LU; "cg" (Jacobi-preconditioned) and "dense" are
+    plus the relative residual of the interior system. "direct" uses the
+    mesh's cached LU; "cg" (Jacobi-preconditioned) and "dense" are
     independent oracles.
     """
     idx = mesh.interior_idx
     KII, _ = _interior_matrix(mesh)
     shape = load.shape
     b = load.reshape(mesh.n_vertices, -1)[idx]
-    if method in ("auto", "direct"):
+    if method == "direct":
         x = _interior_factor(mesh).solve(b)
     elif method == "cg":
         x = np.column_stack([_cg_solve(KII, b[:, j]) for j in range(b.shape[1])])
@@ -120,8 +121,7 @@ def solve_interior(mesh: DiskMesh, load: np.ndarray, method: str = "auto"):
     return out, float(resid)
 
 
-def solve_dirichlet_lifted(mesh: DiskMesh, load: np.ndarray, bvals: np.ndarray,
-                           method: str = "auto"):
+def solve_dirichlet_lifted(mesh: DiskMesh, load: np.ndarray, bvals: np.ndarray):
     """Solve K x = load with prescribed boundary values `bvals` (full-length)."""
     idx = mesh.interior_idx
     bidx = mesh.boundary_idx
@@ -131,7 +131,7 @@ def solve_dirichlet_lifted(mesh: DiskMesh, load: np.ndarray, bvals: np.ndarray,
     flat_b = bvals.reshape(mesh.n_vertices, -1)
     rhs = np.zeros_like(flat_load)
     rhs[idx] = flat_load[idx] - KIB @ flat_b[bidx]
-    x, resid = solve_interior(mesh, rhs.reshape(shape), method=method)
+    x, resid = solve_interior(mesh, rhs.reshape(shape))
     x = x.reshape(mesh.n_vertices, -1)
     x[bidx] = flat_b[bidx]
     return x.reshape((mesh.n_vertices,) + shape[1:]), resid
@@ -181,8 +181,7 @@ class PoissonSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def poisson_dirichlet(f, mesh: DiskMesh | None = None,
-                      method: str = "auto") -> PoissonSolution:
+def poisson_dirichlet(f, mesh: DiskMesh | None = None) -> PoissonSolution:
     """Galerkin solution of Laplace(psi) = f with psi = 0 on the boundary.
 
     `f` is a vertex Field or a per-triangle density array.
@@ -206,7 +205,7 @@ def poisson_dirichlet(f, mesh: DiskMesh | None = None,
         rhs_norms = {"L1": float((mesh.tri_areas * mag).sum()),
                      "L2": float(np.sqrt((mesh.tri_areas * mag ** 2).sum())),
                      "Linf": float(mag.max(initial=0.0))}
-    vals, resid = solve_interior(mesh, -load, method=method)
+    vals, resid = solve_interior(mesh, -load)
     psi = Field(mesh, vals)
     gn = norms(gradient(psi))
     pn = norms(psi)
@@ -279,16 +278,10 @@ def hodge_decompose(F: CellVectorField) -> HodgePair:
                      {"residual_zeta": r1, "residual_eta": r2})
 
 
-def energy_density(u: Field) -> np.ndarray:
-    """Per-triangle |grad u|^2 (summed over payload components)."""
-    g = gradient(u).values
-    return (g ** 2).reshape(u.mesh.n_triangles, -1).sum(axis=1)
-
-
 def psi_energy_density(u: Field) -> PoissonSolution:
     """Solve Laplace(psi) = |grad u|^2 with zero trace and report the
     L-infinity plus W^{1,2} diagnostic used by the small-energy estimates."""
-    sol = poisson_dirichlet(energy_density(u), mesh=u.mesh)
+    sol = poisson_dirichlet(energy_density(gradient(u).values), mesh=u.mesh)
     d = sol.diagnostics
     d["psi_linf_plus_grad_l2"] = d["psi_linf"] + d["grad_l2"]
     return sol

@@ -16,17 +16,23 @@ import numpy as np
 from .elliptic import _step_factor, cell_load, solve_dirichlet_lifted
 from .errors import StepSizeError, UsageError
 from .manifold import TargetManifold
-from .mesh import DiskMesh, Field, gradient
+from .mesh import DiskMesh, Field, energy_density, gradient
 
 NO_PAIRS = "no snapshot pair at or after T0 to evaluate"
+MAX_HALVINGS = 20          # timestep halvings before run_flow gives up
+MAX_STEPS = 10 ** 6        # t_end / tau above this is refused
+CAUCHY_SLACK = 0.05        # Cauchy sup allowed per unit of largest denominator
 
 
 def dirichlet_energy(u: Field) -> dict:
     """Dirichlet energy in both conventions: E_half = E_raw / 2."""
-    g = gradient(u).values
-    dens = (g ** 2).reshape(u.mesh.n_triangles, -1).sum(axis=1)
-    raw = float((u.mesh.tri_areas * dens).sum())
+    raw = float((u.mesh.tri_areas * energy_density(gradient(u).values)).sum())
     return {"E_half": 0.5 * raw, "E_raw": raw}
+
+
+def l2_norm(mesh: DiskMesh, vals: np.ndarray) -> float:
+    """L2 norm of vertex values (any payload) with the consistent mass matrix."""
+    return math.sqrt(max(float((vals * (mesh.mass @ vals)).sum()), 0.0))
 
 
 def _flat_gradient(u: Field) -> np.ndarray:
@@ -72,8 +78,7 @@ def _derived(u: Field, m: TargetManifold):
     computed once (the stepping loop calls this every step)."""
     mesh = u.mesh
     g = gradient(u).values
-    e_raw = float((mesh.tri_areas
-                   * (g ** 2).reshape(mesh.n_triangles, -1).sum(axis=1)).sum())
+    e_raw = float((mesh.tri_areas * energy_density(g)).sum())
     centers = m.project(mesh.at_centroids(u.values))
     per_tri = m.curvature_flow_term(centers, g)
     G = cell_load(mesh, per_tri) / mesh.lumped_mass[:, None]
@@ -182,12 +187,17 @@ def initial_state(mesh: DiskMesh, m: TargetManifold, chi: np.ndarray) -> FlowSta
 
 
 def run_flow(mesh: DiskMesh, m: TargetManifold, chi: np.ndarray, t_end: float,
-             tau: float, eps0: float, snapshot_times=None,
-             max_halvings: int = 20) -> FlowTrajectory:
+             tau: float, eps0: float, snapshot_times=None) -> FlowTrajectory:
     """Run the flow to t_end, recording monitors each step and snapshots at
     the requested times. The timestep is halved (permanently) whenever a step
-    violates the projection reach or increases the energy beyond tolerance.
+    violates the projection reach or increases the energy beyond tolerance,
+    at most MAX_HALVINGS times; more than MAX_STEPS steps are refused.
     """
+    if not tau > 0:
+        raise UsageError("timestep must be positive")
+    if t_end / tau > MAX_STEPS:
+        raise UsageError(f"t_end / tau = {t_end / tau:.3g} exceeds "
+                         f"{MAX_STEPS} steps")
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (len(mesh.boundary_idx), m.n):
         raise UsageError("boundary data shape does not match boundary vertices")
@@ -196,11 +206,6 @@ def run_flow(mesh: DiskMesh, m: TargetManifold, chi: np.ndarray, t_end: float,
     state = initial_state(mesh, m, chi)
     E0 = state.cache["energy_raw"]
     tol_increase = 1e-10 * max(E0, 1e-12)
-
-    M = mesh.mass
-
-    def l2(vals):
-        return math.sqrt(max(float((vals * (M @ vals)).sum()), 0.0))
 
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, t_end, 33)
@@ -212,7 +217,7 @@ def run_flow(mesh: DiskMesh, m: TargetManifold, chi: np.ndarray, t_end: float,
     traj = FlowTrajectory(mesh, m, chi, eps0)
     times = [0.0]
     energy = [E0]
-    t0_tension = l2(state.tension.values)
+    t0_tension = l2_norm(mesh, state.tension.values)
     ut_sq = [t0_tension ** 2]
     tension_l2 = [t0_tension]
     snapshots = []
@@ -228,14 +233,14 @@ def run_flow(mesh: DiskMesh, m: TargetManifold, chi: np.ndarray, t_end: float,
             new = step(state, tau, m, chi)
         except StepSizeError:
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise
             tau = tau / 2.0
             continue
         E_new = new.cache["energy_raw"]
         if E_new > E_prev + tol_increase:
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise StepSizeError("energy kept increasing after maximal halving")
             tau = tau / 2.0
             continue
@@ -244,8 +249,8 @@ def run_flow(mesh: DiskMesh, m: TargetManifold, chi: np.ndarray, t_end: float,
         E_prev = E_new
         times.append(t)
         energy.append(E_new)
-        ut_sq.append(l2(state.ut.values) ** 2)
-        tension_l2.append(l2(state.tension.values))
+        ut_sq.append(l2_norm(mesh, state.ut.values) ** 2)
+        tension_l2.append(l2_norm(mesh, state.tension.values))
         while pending and t >= pending[0] - tau / 2.0:
             if not snapshots or snapshots[-1] is not state:
                 snapshots.append(state)
@@ -390,18 +395,18 @@ def cross_term_check(traj: FlowTrajectory, t1: float, t2: float,
     diff = s1.u.values - s2.u.values
     diff_c = mesh.at_centroids(diff)
     g2 = _flat_gradient(s2.u)
-    dens2 = (g2 ** 2).sum(axis=1)
-    lhs = float((mesh.tri_areas * (diff_c ** 2).sum(axis=1) * dens2).sum())
+    lhs = float((mesh.tri_areas * (diff_c ** 2).sum(axis=1)
+                 * energy_density(g2)).sum())
     rhs = _gradient_gap(mesh.tri_areas, _flat_gradient(s1.u), g2)
     if rhs <= 1e-14:
         return {"lhs": lhs, "rhs": rhs, "C": None, "degenerate": True}
     return {"lhs": lhs, "rhs": rhs, "C": lhs / (eps0 * rhs), "degenerate": False}
 
 
-def cauchy_certificate(traj: FlowTrajectory, slack_factor: float = 0.05) -> dict:
+def cauchy_certificate(traj: FlowTrajectory) -> dict:
     """Uniform-Cauchy certificate: sup over stored pairs t2 > t1 >= T0 of
     int|grad u(t1) - grad u(t2)|^2 - 4 (E_raw(t1) - E_raw(t2)); passes when
-    the sup does not exceed slack_factor times the largest denominator.
+    the sup does not exceed CAUCHY_SLACK times the largest denominator.
     Without a pair to evaluate, "passes" is None and "reason" says why."""
     t0 = traj.detected_t0()
     snaps = [s for s in traj.snapshots if t0 is not None and s.t >= t0 - 1e-12]
@@ -421,7 +426,7 @@ def cauchy_certificate(traj: FlowTrajectory, slack_factor: float = 0.05) -> dict
         return {"value": 0.0, "threshold": 0.0, "passes": None, "pairs": 0,
                 "max_denominator": 0.0,
                 "reason": "T0 undetected" if t0 is None else NO_PAIRS}
-    threshold = slack_factor * max_denom
+    threshold = CAUCHY_SLACK * max_denom
     return {"value": float(value), "threshold": float(threshold),
             "passes": bool(value <= threshold), "pairs": count,
             "max_denominator": float(max_denom)}

@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import (cell_load, hodge_decompose, poisson_dirichlet,
-                       solve_dirichlet_lifted, solve_interior,
-                       solve_neumann_meanzero, _interior_factor, _sobolev_factor)
+                       solve_interior, solve_neumann_meanzero,
+                       _interior_factor, _sobolev_factor)
 from .errors import DivergenceError, UsageError
 from .manifold import ConnectionForm, TargetManifold
 from .mesh import (CellVectorField, DiskMesh, Field, curl_load, div_load,
-                   gradient, norms, perp_gradient, rotate_cell_field)
+                   energy_density, gradient, norms, perp_gradient,
+                   rotate_cell_field)
+
+DESCENT_REL_TOL = 1e-10   # descent stops once an energy drop is this small
+AB_MAX_ITERATIONS = 200   # (A, B) fixed-point iterations
+AB_TOL = 1e-10            # (A, B) fixed point stops below this change
 
 
 def polar_rotation(mats: np.ndarray) -> np.ndarray:
@@ -95,8 +100,8 @@ def _tangent_project_rotations(Pv: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("vik,vkj->vij", W, Pv)
 
 
-def minimize_gauge(omega: ConnectionForm, max_iterations: int = 5000,
-                   rel_tol: float = 1e-10) -> GaugeFrame:
+def minimize_gauge(omega: ConnectionForm,
+                   max_iterations: int = 5000) -> GaugeFrame:
     """Gauge frame by Riemannian descent over vertex-wise rotations.
 
     The descent direction is the H^1(Sobolev)-preconditioned gradient (plain
@@ -143,7 +148,7 @@ def minimize_gauge(omega: ConnectionForm, max_iterations: int = 5000,
         drop = E - E_trial
         E = E_trial
         _, grad = _frame_energy_grad(mesh, Pv, omega.values)
-        if drop <= rel_tol * max(E_first, 1e-16):
+        if drop <= DESCENT_REL_TOL * max(E_first, 1e-16):
             converged = True
             break
 
@@ -179,34 +184,30 @@ def recover_xi(frame: GaugeFrame, omega: ConnectionForm) -> GaugeFrame:
                       frame.iterations, frame.converged)
 
 
-def gauge_frame(omega: ConnectionForm, **kw) -> GaugeFrame:
+def gauge_frame(omega: ConnectionForm) -> GaugeFrame:
     """Convenience: minimize the frame energy and recover xi."""
-    return recover_xi(minimize_gauge(omega, **kw), omega)
+    return recover_xi(minimize_gauge(omega), omega)
 
 
-def construct_AB(frame: GaugeFrame, omega: ConnectionForm,
-                 a_boundary: str = "natural", max_iterations: int = 200,
-                 tol: float = 1e-10) -> ConservationFrame:
+def construct_AB(frame: GaugeFrame, omega: ConnectionForm) -> ConservationFrame:
     """Conservation pair by fixed-point iteration on the div/curl system
 
         Laplace(B) = -curl(A Omega),  B = 0 on the boundary,
-        Laplace(A) =  div(A Omega),   natural BC with int A = int P^T
-                                      ("natural", default) or A = P^T on
-                                      the boundary ("gauge").
+        Laplace(A) =  div(A Omega),   natural BC with int A = int P^T.
 
     The natural condition is variationally consistent with B having zero
     trace (perp_grad(B) then has no normal flux), so the defect
     grad(A) - A Omega - perp_grad(B) carries no harmonic remainder and the
-    conservation residual vanishes with the mesh size; the Dirichlet policy
-    leaves an O(|Omega|^2) harmonic floor and is kept as a switch.
+    conservation residual vanishes with the mesh size; prescribing A = P^T
+    on the boundary instead would leave an O(|Omega|^2) harmonic floor.
     """
-    if a_boundary not in ("gauge", "natural"):
-        raise UsageError(f"unknown A boundary policy {a_boundary!r}")
     mesh = omega.mesh
     n = omega.n
     Pt_vals = np.swapaxes(frame.P.values, -1, -2)
     A_vals = Pt_vals.copy()
     B_vals = np.zeros_like(A_vals)
+    m = mesh.lumped_mass
+    Pt_mean = ((m[:, None, None] * Pt_vals).sum(axis=0)) / m.sum()
     a = mesh.tri_areas
 
     def l2(vals):
@@ -217,24 +218,18 @@ def construct_AB(frame: GaugeFrame, omega: ConnectionForm,
     changes = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, AB_MAX_ITERATIONS + 1):
         Abar = mesh.at_centroids(A_vals)
         F = np.einsum("tim,tamz->taiz", Abar, omega.values)
         # Laplace(B) = -curl(F): K B = +<curl F, phi>
         B_new, _ = solve_interior(mesh, curl_load(mesh, F))
         # Laplace(A) = div(F): K A = -<div F, phi>
-        b_A = -div_load(mesh, F)
-        if a_boundary == "gauge":
-            A_new, _ = solve_dirichlet_lifted(mesh, b_A, Pt_vals)
-        else:
-            A_new, _ = solve_neumann_meanzero(mesh, b_A)
-            m = mesh.lumped_mass
-            shift = ((m[:, None, None] * Pt_vals).sum(axis=0)) / m.sum()
-            A_new = A_new + shift[None, :, :]
+        A_new, _ = solve_neumann_meanzero(mesh, -div_load(mesh, F))
+        A_new = A_new + Pt_mean[None, :, :]
         change = l2(A_new - A_vals) + l2(B_new - B_vals)
         A_vals, B_vals = A_new, B_new
         changes.append(change)
-        if change < tol * (1.0 + omega_l2):
+        if change < AB_TOL * (1.0 + omega_l2):
             converged = True
             break
         if len(changes) >= 4 and all(
@@ -302,8 +297,7 @@ def b_sup_estimate(cons: ConservationFrame, u: Field,
     sol = poisson_dirichlet(rhs, mesh=mesh)
     B_w = sol.psi
     gap = norms(Field(mesh, B_w.values - cons.B.values))["L2"]
-    from .flow import dirichlet_energy  # local import; flow depends on gauge-free modules
-    e_raw = dirichlet_energy(u)["E_raw"]
+    e_raw = float((mesh.tri_areas * energy_density(gu)).sum())
     b_sup = norms(cons.B)["Linf"]
     return {
         "B_sup": b_sup,

@@ -18,13 +18,16 @@ from scipy.spatial import cKDTree
 
 from .elliptic import psi_energy_density
 from .errors import UsageError
-from .mesh import DiskMesh, Field, gradient, perp_gradient
+from .mesh import DiskMesh, Field, energy_density, gradient, perp_gradient
 
 PLATEAU_TARGET = 2.0
 PLATEAU_RADIUS = 0.375          # phi equals the plateau on B_{3/8}
 SUPPORT_LIMIT = 0.5             # support must stay inside B_{1/2}
 EDGE_PAD = 0.01
 GRAD_LIMIT = 100.0
+SCALES_PER_OCTAVE = 4
+MAX_OCTAVES = 20
+MAX_SNAPSHOTS = 8               # Hardy rows per h1_energy_check
 
 # transition profile s(t) = 1 - 3t^2 + 2t^3: int_0^1 s = 1/2, int_0^1 t s = 3/20
 _I1 = 0.5
@@ -99,12 +102,9 @@ class HardyEstimator:
 
     CACHE_LIMIT = 2 * 10 ** 7
 
-    def __init__(self, mesh: DiskMesh, bump: BumpProfile | None = None,
-                 scales_per_octave: int = 4, max_octaves: int = 20):
+    def __init__(self, mesh: DiskMesh):
         self.mesh = mesh
-        self.bump = bump if bump is not None else build_bump()
-        self.scales_per_octave = int(scales_per_octave)
-        self.max_octaves = int(max_octaves)
+        self.bump = build_bump()
         self._tree = cKDTree(mesh.centroids)
         self._radii = 1.0 - np.linalg.norm(mesh.vertices, axis=1)
         self._stencils = None
@@ -114,9 +114,9 @@ class HardyEstimator:
         h = self.mesh.h
         if t0 <= h * 1e-9:
             return np.zeros(0)
-        octaves = max(1, min(self.max_octaves,
+        octaves = max(1, min(MAX_OCTAVES,
                              math.ceil(math.log2(max(t0 / h, 2.0)))))
-        S = self.scales_per_octave
+        S = SCALES_PER_OCTAVE
         exponents = np.arange(octaves * S) / S
         return t0 * (2.0 ** -exponents)
 
@@ -211,7 +211,7 @@ def pointwise_lower_bound_check(u: Field, gauge_frame, hodge, probes=None,
         probes = default_probes()
     FH = perp_gradient(hodge.eta).values + gradient(hodge.zeta).values
     gu = gradient(u).values
-    dens = (gu ** 2).reshape(mesh.n_triangles, -1).sum(axis=1)
+    dens = energy_density(gu)
     cent = mesh.centroids
     min_ratio = None
     checked = 0
@@ -246,36 +246,33 @@ def pointwise_lower_bound_check(u: Field, gauge_frame, hodge, probes=None,
     }
 
 
-def h1_energy_check(traj, eps0: float, estimator: HardyEstimator | None = None,
-                    max_snapshots: int = 8) -> dict:
-    """Per-snapshot Hardy control of the energy density for t >= T0.
+def h1_row(est: HardyEstimator, u: Field, t: float) -> dict:
+    """Hardy control of one map's energy density: ||grad u|^2||_h1, its ratio
+    to the raw energy, and the measured constant of the Dirichlet-problem
+    estimate (||psi||_inf + ||grad psi||_2) / ||density||_h1."""
+    dens = energy_density(gradient(u).values)
+    h1 = est.h1_norm(dens)
+    e_raw = float((u.mesh.tri_areas * dens).sum())
+    combo = psi_energy_density(u).diagnostics["psi_linf_plus_grad_l2"]
+    return {
+        "t": float(t),
+        "h1_density": h1,
+        "h1_over_energy": h1 / e_raw if e_raw > 1e-14 else 0.0,
+        "cdsthm_C": combo / h1 if h1 > 1e-14 else 0.0,
+    }
 
-    Each row records ||grad u(t)|^2||_h1, its ratio to the raw energy, and
-    the measured constant of the Dirichlet-problem estimate
-    (||psi||_inf + ||grad psi||_2) / ||density||_h1.
-    """
-    from .elliptic import energy_density
+
+def h1_energy_check(traj, eps0: float) -> dict:
+    """One h1_row per snapshot at or after T0, at most MAX_SNAPSHOTS of them
+    spread evenly over that range."""
     t0 = traj.detected_t0()
     if t0 is None:
         return {"skipped": "kinetic trigger T0 was not detected", "rows": []}
     snaps = [s for s in traj.snapshots if s.t >= t0 - 1e-12]
     if not snaps:
         return {"skipped": "no snapshots at or after T0", "rows": []}
-    if len(snaps) > max_snapshots:
-        pick = np.linspace(0, len(snaps) - 1, max_snapshots).round().astype(int)
+    if len(snaps) > MAX_SNAPSHOTS:
+        pick = np.linspace(0, len(snaps) - 1, MAX_SNAPSHOTS).round().astype(int)
         snaps = [snaps[i] for i in sorted(set(pick.tolist()))]
-    est = estimator if estimator is not None else HardyEstimator(traj.mesh)
-    rows = []
-    for s in snaps:
-        dens = energy_density(s.u)
-        h1 = est.h1_norm(dens)
-        e_raw = float((traj.mesh.tri_areas * dens).sum())
-        sol = psi_energy_density(s.u)
-        combo = sol.diagnostics["psi_linf_plus_grad_l2"]
-        rows.append({
-            "t": float(s.t),
-            "h1_density": h1,
-            "h1_over_energy": h1 / e_raw if e_raw > 1e-14 else 0.0,
-            "cdsthm_C": combo / h1 if h1 > 1e-14 else 0.0,
-        })
-    return {"skipped": None, "rows": rows}
+    est = HardyEstimator(traj.mesh)
+    return {"skipped": None, "rows": [h1_row(est, s.u, s.t) for s in snaps]}

@@ -353,29 +353,32 @@ def _check_cauchy(traj, cfg, rng):
     return {"verdict": "pass" if res["passes"] else "fail", **res}
 
 
-def _check_gauge(traj, cfg, rng, m):
-    snap = traj.snapshots[-1]
-    omega = manifold_mod.assemble_omega(m, snap.u)
+def gauge_diagnostics(u: Field, ut: Field, m, eps0: float, t: float) -> dict:
+    """The gauge chain on the map u at time t: Omega, the gauge frame, the
+    conservation pair (A, B), the Hodge split of the flux, the P-structure,
+    and the P oscillation against sqrt(eps0) + ||u_t||_L2, with the verdict
+    of their gates. A map with zero potential (a constant map) passes at
+    once."""
+    omega = manifold_mod.assemble_omega(m, u)
     if omega.l2_norm() < 1e-14:
         return {"verdict": "pass", "note": "zero potential (constant map)"}
     frame = gauge_mod.gauge_frame(omega)
     cons = gauge_mod.construct_AB(frame, omega)
-    hodge = hodge_decompose(gauge_mod.flux_field(cons, snap.u))
-    structure = gauge_mod.p_structure(cons, frame, snap.u, m, hodge)
-    cons_res = gauge_mod.conservation_residual(cons, snap.u, snap.ut)
-    bs = gauge_mod.b_sup_estimate(cons, snap.u, m)
-    ut_norm = math.sqrt(max(traj.ut_l2_sq[-1], 0.0))
-    posc = gauge_mod.p_oscillation(frame, structure, ut_norm,
-                                   gauge_mod.default_probes(), cfg.eps0)
-    pw = hardy_mod.pointwise_lower_bound_check(snap.u, frame, hodge)
-    h = traj.mesh.h
-    gate_gauge = frame.r_gauge <= 10.0 * h * omega.l2_norm()
+    hodge = hodge_decompose(gauge_mod.flux_field(cons, u))
+    structure = gauge_mod.p_structure(cons, frame, u, m, hodge)
+    cons_res = gauge_mod.conservation_residual(cons, u, ut)
+    bs = gauge_mod.b_sup_estimate(cons, u, m)
+    posc = gauge_mod.p_oscillation(frame, structure,
+                                   flow_mod.l2_norm(u.mesh, ut.values),
+                                   gauge_mod.default_probes(), eps0)
+    pw = hardy_mod.pointwise_lower_bound_check(u, frame, hodge)
+    gate_gauge = frame.r_gauge <= 10.0 * u.mesh.h * omega.l2_norm()
     gate_pw = pw["min_ratio"] is None or pw["min_ratio"] >= POINTWISE_FLOOR
     verdict = "pass" if (gate_gauge and frame.converged and cons.converged
                          and gate_pw) else "fail"
     return {
         "verdict": verdict,
-        "t": float(snap.t),
+        "t": float(t),
         "omega_l2": omega.l2_norm(),
         "energy": frame.energy,
         "r_gauge": frame.r_gauge,
@@ -390,6 +393,11 @@ def _check_gauge(traj, cfg, rng, m):
         "pointwise_below_020": pw["below_020"],
         "iterations": {"descent": frame.iterations, "fixed_point": cons.iterations},
     }
+
+
+def _check_gauge(traj, cfg, rng):
+    snap = traj.snapshots[-1]
+    return gauge_diagnostics(snap.u, snap.ut, traj.manifold, cfg.eps0, snap.t)
 
 
 def _check_hardy(traj, cfg, rng):
@@ -411,6 +419,7 @@ _CHECK_TABLE = {
     "decay_identity": _check_decay_identity,
     "cross_term": _check_cross_term,
     "cauchy": _check_cauchy,
+    "gauge": _check_gauge,
     "hardy": _check_hardy,
 }
 
@@ -461,6 +470,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
         "timing": {},
     }
 
+    tau = cfg.tau(mesh.h)
+    steps = cfg.t_end / tau if tau > 0 else math.inf
+    if steps > flow_mod.MAX_STEPS:
+        raise ConfigurationError(
+            f"timestep {cfg.timestep} gives tau = {tau:.3g}, so t_end / tau = "
+            f"{steps:.3g} exceeds {flow_mod.MAX_STEPS} steps")
     chi, scale, reason = build_boundary_data(cfg, mesh, m)
     if chi is None:
         report["scenario"] = {"feasible": False, "reason": reason}
@@ -473,7 +488,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
             _write_report(report, Path(out_dir))
         return report
 
-    tau = cfg.tau(mesh.h)
     snapshot_times = np.linspace(0.0, cfg.t_end, cfg.snapshots)
     traj = flow_mod.run_flow(mesh, m, chi, cfg.t_end, tau, cfg.eps0,
                              snapshot_times=snapshot_times)
@@ -497,10 +511,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None) -> dict:
                         "snapshots": len(traj.snapshots)}
 
     for name in cfg.checks:
-        if name == "gauge":
-            result = _check_gauge(traj, cfg, rng, m)
-        else:
-            result = _CHECK_TABLE[name](traj, cfg, rng)
+        result = _CHECK_TABLE[name](traj, cfg, rng)
         report["checks"][name] = result
         if name == "gauge" and "iterations" in result:
             report["gauge"] = {k: result[k] for k in
@@ -545,14 +556,29 @@ def write_snapshot(field: Field, t: float, path):
 
 
 def read_snapshot(mesh, path):
+    """Read a file written by write_snapshot. A malformed file raises a
+    UsageError that names the file and the line."""
     lines = Path(path).read_text().strip().split("\n")
-    t_str, dim_str = lines[0].split()
-    dim = int(dim_str)
-    vals = np.array([[float(x) for x in line.split()] for line in lines[1:]])
+    header = lines[0].split()
+    if len(header) != 2 or not header[1].isdecimal() or int(header[1]) < 1:
+        raise UsageError(f"{path}: line 1: expected the header `t value_dim`, "
+                         f"got {lines[0]!r}")
+    dim = int(header[1])
+    rows = []
+    for k, line in enumerate(lines, start=1):
+        try:
+            row = [float(x) for x in line.split()]
+        except ValueError as exc:
+            raise UsageError(f"{path}: line {k}: {exc}") from None
+        if k > 1 and len(row) != dim:
+            raise UsageError(f"{path}: line {k}: expected {dim} values, "
+                             f"got {len(row)}")
+        rows.append(row)
+    vals = np.array(rows[1:]).reshape(len(rows) - 1, dim)
     if vals.shape != (mesh.n_vertices, dim):
-        raise UsageError(f"snapshot shape {vals.shape} does not match mesh "
+        raise UsageError(f"{path}: snapshot shape {vals.shape} does not match mesh "
                          f"({mesh.n_vertices} vertices, {dim} components)")
-    return float(t_str), Field(mesh, vals)
+    return rows[0][0], Field(mesh, vals)
 
 
 def verify_suite(config_dir, out_dir=None, jobs: int = 1):

@@ -553,9 +553,6 @@ class ConnectionForm:
         a = self.mesh.tri_areas
         return float(np.sqrt((a * (self.values ** 2).sum(axis=(1, 2, 3))).sum()))
 
-    def linf_norm(self):
-        return float(np.sqrt((self.values ** 2).sum(axis=(1, 2, 3)).max()))
-
 
 def assemble_omega(m: TargetManifold, u: Field) -> ConnectionForm:
     """Antisymmetric potential of a manifold-valued map, per triangle.

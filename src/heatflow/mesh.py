@@ -372,6 +372,12 @@ def perp_gradient(f: Field) -> CellVectorField:
     return rotate_cell_field(gradient(f))
 
 
+def energy_density(g: np.ndarray) -> np.ndarray:
+    """Per-triangle |grad u|^2, summed over payload components, of a
+    gradient array g of shape (nt, 2, *payload) or (nt, 2 * payload)."""
+    return (g ** 2).reshape(g.shape[0], -1).sum(axis=1)
+
+
 def rotate_cell_field(F: CellVectorField) -> CellVectorField:
     vals = np.stack([-F.values[:, 1], F.values[:, 0]], axis=1)
     return CellVectorField(F.mesh, vals)

@@ -335,19 +335,86 @@ def test_cli_mesh_and_run(tmp_path, capsys):
 
 
 def test_cli_gauge_and_hardy_on_snapshot(tmp_path, capsys):
+    # the CLI and the report share one pipeline, so on the final snapshot
+    # they print the same numbers, bit for bit
     cfg_path = tmp_path / "s.json"
-    cfg_path.write_text(json.dumps(dict(SMALL_FAST,
-                                        checks=["convexity"], t_end=4.0)))
+    cfg_path.write_text(json.dumps(dict(SMALL_FAST, checks=["gauge", "hardy"],
+                                        t_end=4.0)))
     rc = cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 0
     capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"]["gauge"]["verdict"] == "pass"
+    assert report["checks"]["hardy"]["verdict"] == "pass"
     snap = tmp_path / "out" / "snapshot_final.u.txt"
     assert snap.exists()
     rc = cli_main(["gauge", str(snap), str(cfg_path)])
     assert rc == 0
     res = json.loads(capsys.readouterr().out)
     assert "r_gauge" in res and np.isfinite(res["r_gauge"])
+    assert res == report["checks"]["gauge"]
     rc = cli_main(["hardy", str(snap), str(cfg_path)])
     assert rc == 0
     res = json.loads(capsys.readouterr().out)
     assert np.isfinite(res["h1_density"])
+    assert res == report["checks"]["hardy"]["rows"][-1]
+
+
+def test_cli_gauge_on_constant_map_takes_zero_potential_shortcut(
+        tmp_path, capsys):
+    cfg_path = tmp_path / "s.json"
+    cfg_path.write_text(json.dumps(SMALL_FAST))
+    mesh = build_disk_mesh(SMALL_FAST["refinement"])
+    snap = tmp_path / "const.u.txt"
+    write_snapshot(Field(mesh, np.tile([0.0, 0.0, 1.0], (mesh.n_vertices, 1))),
+                   1.0, snap)
+    rc = cli_main(["gauge", str(snap), str(cfg_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "pass", "note": "zero potential (constant map)"}
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),                        # empty file
+    ("1.0\n0 0 1\n", 1),            # header without two fields
+    ("1.0 3\n0 0 1\n0 x 1\n", 3),   # non-numeric entry
+], ids=["empty", "short_header", "non_numeric"])
+def test_cli_rejects_malformed_snapshot(tmp_path, capsys, text, line):
+    cfg_path = tmp_path / "s.json"
+    cfg_path.write_text(json.dumps(SMALL_FAST))
+    snap = tmp_path / "bad.u.txt"
+    snap.write_text(text)
+    for command in ("gauge", "hardy"):
+        rc = cli_main([command, str(snap), str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"bad.u.txt: line {line}:" in err
+
+
+@pytest.mark.parametrize("timestep", [{"tau": 1e-300}, {"factor": 1e-300},
+                                      {"factor": 5e-324}])
+def test_step_count_cap_rejects_tiny_timestep(monkeypatch, timestep):
+    def never(*args, **kwargs):
+        raise AssertionError("run_flow must not start")
+
+    monkeypatch.setattr(lab.flow_mod, "run_flow", never)
+    cfg = validate_config(dict(SMALL_FAST, timestep=timestep))
+    with pytest.raises(ConfigurationError, match="timestep"):
+        run_scenario(cfg)
+
+
+def test_run_flow_refuses_more_than_max_steps(mesh_at, monkeypatch):
+    import heatflow.flow as flow
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_flow must not step")
+
+    monkeypatch.setattr(flow, "step", never)
+    mesh = mesh_at(1)
+    m = Sphere(3)
+    chi = cap_boundary(mesh, m, 0.12)
+    with pytest.raises(UsageError, match="steps"):
+        run_flow(mesh, m, chi, 2.0, 2.0 / (flow.MAX_STEPS + 1), 0.1)
+    with pytest.raises(UsageError, match="positive"):
+        run_flow(mesh, m, chi, 2.0, 0.0, 0.1)
